@@ -14,13 +14,8 @@ Commands
 ``campaign``
     Run a campaign across a parallel worker pool (the paper's ten-VM
     split as a subsystem) with checkpoint/resume; see ``--workers``,
-    ``--out``, ``--resume``.  ``--shared-memo`` dedups clean check
-    verdicts across all workers through an engine-hosted service;
-    ``--memo-server HOST:PORT`` attaches to an external ``memod`` so
-    campaigns on several hosts share one table.
-``memod``
-    Serve a standalone shared check-memo service (the multi-host side of
-    ``campaign --memo-server``); prints the bound address on startup.
+    ``--out``, ``--resume``.  Each worker keeps one check memo for its
+    lifetime, so clean check verdicts dedup across the workloads it runs.
 ``stats``
     Render a campaign summary from one or more JSONL traces written with
     ``--trace`` (multiple files merge — e.g. a parallel campaign's
@@ -363,8 +358,6 @@ def cmd_campaign(args) -> int:
                 crash_plans=args.crash_plans,
                 profile=args.profile,
                 image_backend=args.image_backend,
-                shared_memo=args.shared_memo or bool(args.memo_server),
-                memo_address=args.memo_server,
             )
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -427,14 +420,6 @@ def _expand_stats_targets(targets: List[str]) -> List[str]:
             )
         traces.extend(workers)
     return traces
-
-
-def cmd_memod(args) -> int:
-    from repro.memo.server import run_memod
-
-    return run_memod(
-        host=args.host, port=args.port, max_entries=args.max_entries
-    )
 
 
 def cmd_stats(args) -> int:
@@ -957,7 +942,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="memoize",
         action="store_false",
         help="disable content-addressed check memoization (eager "
-        "whole-image dedup; same reports, slower)",
+        "whole-image dedup within each workload; same reports, slower)",
     )
     p_camp.add_argument(
         "--crash-plans",
@@ -973,20 +958,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="crash-image replay backend for every worker: auto picks "
         "numpy when importable, falling back to the pure-python reference",
     )
-    p_camp.add_argument(
-        "--shared-memo",
-        action="store_true",
-        help="share one check-memo table across all workers (engine-hosted "
-        "loopback service): clean verdicts dedup campaign-wide, bug "
-        "reports are unaffected",
-    )
-    p_camp.add_argument(
-        "--memo-server",
-        metavar="HOST:PORT",
-        help="attach to an external `repro memod` shared check-memo "
-        "service (multi-host campaigns dedup against one table); "
-        "implies --shared-memo",
-    )
     p_camp.add_argument("--batch", type=int, default=8,
                         help="work items per dispatch (default 8)")
     p_camp.add_argument("--timeout", type=float, default=60.0,
@@ -1001,25 +972,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="enable hot-path time/byte attribution in "
                         "every worker (recorded per result; see "
                         "`python -m repro profile`)")
-
-    p_memod = sub.add_parser(
-        "memod",
-        help="serve a standalone shared check-memo service for "
-        "`campaign --memo-server` (multi-host dedup)",
-    )
-    p_memod.add_argument(
-        "--host", default="127.0.0.1",
-        help="bind address (default 127.0.0.1; 0.0.0.0 for multi-host)",
-    )
-    p_memod.add_argument(
-        "--port", type=int, default=0,
-        help="TCP port (default 0 = pick an ephemeral port and print it)",
-    )
-    p_memod.add_argument(
-        "--max-entries", type=int, default=262144,
-        help="LRU cap on clean verdict entries (default 262144; "
-        "0 = unbounded)",
-    )
 
     p_stats = sub.add_parser(
         "stats",
@@ -1237,7 +1189,6 @@ def main(argv=None) -> int:
         "ace": cmd_ace,
         "fuzz": cmd_fuzz,
         "campaign": cmd_campaign,
-        "memod": cmd_memod,
         "stats": cmd_stats,
         "coverage": cmd_coverage,
         "watch": cmd_watch,

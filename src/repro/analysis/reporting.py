@@ -30,9 +30,7 @@ class CampaignSummary:
     memo_hits: int = 0
     memo_misses: int = 0
     memo_noop_dropped: int = 0
-    #: Hits served by the campaign-wide shared memo service (subset of
-    #: :attr:`memo_hits`) and clean-entry LRU evictions from local memos.
-    memo_shared_hits: int = 0
+    #: Clean-entry LRU evictions from the memo tables.
     memo_evictions: int = 0
     #: ``checker.memo.miss.{reason}`` attribution, summed over workloads.
     memo_miss_reasons: Dict[str, int] = field(default_factory=dict)
@@ -64,7 +62,6 @@ class CampaignSummary:
         self.memo_hits += getattr(result, "memo_hits", 0)
         self.memo_misses += getattr(result, "memo_misses", 0)
         self.memo_noop_dropped += getattr(result, "memo_noop_dropped", 0)
-        self.memo_shared_hits += getattr(result, "memo_shared_hits", 0)
         self.memo_evictions += getattr(result, "memo_evictions", 0)
         for reason, n in getattr(result, "memo_miss_reasons", {}).items():
             self.memo_miss_reasons[reason] = (
@@ -124,10 +121,6 @@ def _telemetry_section(summary: CampaignSummary) -> List[str]:
             f"; {summary.memo_noop_dropped} no-op write(s) dropped"
             if summary.memo_noop_dropped else ""
         )
-        shared = (
-            f"; {summary.memo_shared_hits} served by the shared service"
-            if summary.memo_shared_hits else ""
-        )
         evict = (
             f"; {summary.memo_evictions} clean eviction(s)"
             if summary.memo_evictions else ""
@@ -136,7 +129,7 @@ def _telemetry_section(summary: CampaignSummary) -> List[str]:
             f"- **check memo hit-rate:** "
             f"{summary.memo_hits / memo_total * 100:.1f}% "
             f"({summary.memo_hits} hit(s), {summary.memo_misses} miss(es); "
-            f"`checker.memo.*`{shared}{evict}{noop})"
+            f"`checker.memo.*`{evict}{noop})"
         )
     if summary.memo_miss_reasons:
         parts = ", ".join(

@@ -87,10 +87,6 @@ class EngineStats:
     items_resumed: int = 0
     wall_clock: float = 0.0
     interrupted: bool = False
-    #: Final shared memo-service table stats (``MemoTable.stats()``) when
-    #: the campaign ran with a shared memo; empty otherwise.  For an
-    #: external ``memod`` this is a best-effort end-of-run snapshot.
-    shared_memo: Dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, object]:
         return dict(self.__dict__)
@@ -121,10 +117,6 @@ class CampaignEngine:
         )
         self._workers: Dict[int, _WorkerHandle] = {}
         self._next_wid = 0
-        #: Engine-hosted shared memo server (``spec.shared_memo`` without
-        #: an external address) and the address workers connect to.
-        self._memo_server = None
-        self._memo_address: Optional[str] = None
         #: Distinguishes this engine invocation's trace files from any
         #: earlier run's in the same campaign directory (resume).
         self._run_tag = uuid.uuid4().hex[:8]
@@ -158,8 +150,7 @@ class CampaignEngine:
         process = self._ctx.Process(
             target=workermod.worker_main,
             args=(wid, self.spec.to_dict(), task_q, result_q,
-                  self.campaign_dir, self.config.fault, self._run_tag,
-                  self._memo_address),
+                  self.campaign_dir, self.config.fault, self._run_tag),
             daemon=True,
         )
         process.start()
@@ -199,8 +190,6 @@ class CampaignEngine:
         ordinals = {item.item_id: item.ordinal for item in items}
 
         try:
-            if self.spec.shared_memo:
-                self._start_shared_memo()
             for shard in range(self.config.workers):
                 self._spawn_worker(shard)
             self._event_loop(queue, journal, results, quarantined, retries)
@@ -208,7 +197,6 @@ class CampaignEngine:
             self.stats.interrupted = True
         finally:
             self._shutdown_workers()
-            self._stop_shared_memo()
             self.stats.dispatched = queue.stats.dispatched
             self.stats.steals = queue.stats.steals
             self.stats.requeues = queue.stats.requeues
@@ -393,47 +381,6 @@ class CampaignEngine:
                     os.remove(os.path.join(self.campaign_dir, name))
                 except OSError:
                     pass
-
-    # ------------------------------------------------------------------
-    # Shared check memo
-    # ------------------------------------------------------------------
-    def _start_shared_memo(self) -> None:
-        """Resolve the shared memo address the workers will connect to.
-
-        ``--memo-server HOST:PORT`` attaches to an external ``repro memod``
-        (multi-host campaigns share one table); otherwise the engine hosts
-        the same server in-process on a loopback ephemeral port — the
-        workers cannot tell the difference.
-        """
-        if self.spec.memo_address is not None:
-            self._memo_address = self.spec.memo_address
-            return
-        from repro.memo.server import MemoServer
-
-        self._memo_server = MemoServer(max_entries=self.spec.memo_entries)
-        self._memo_server.start()
-        self._memo_address = self._memo_server.address_str
-
-    def _stop_shared_memo(self) -> None:
-        """Capture final service stats into :class:`EngineStats`, stop the
-        embedded server.  Best-effort throughout — the shared memo is an
-        optimization and must never turn a finished campaign into an error."""
-        if self._memo_server is not None:
-            self.stats.shared_memo = self._memo_server.table.stats()
-            self._memo_server.stop()
-            self._memo_server = None
-        elif self._memo_address is not None:
-            from repro.memo.client import MemoClient
-
-            try:
-                client = MemoClient(self._memo_address)
-                stats = client.stats()
-                client.close()
-            except Exception:  # noqa: BLE001 — stats are advisory
-                stats = None
-            if stats:
-                self.stats.shared_memo = stats
-        self._memo_address = None
 
     # ------------------------------------------------------------------
     def _shutdown_workers(self) -> None:

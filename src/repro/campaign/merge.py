@@ -80,19 +80,6 @@ class MergedCampaign:
             f"{self.engine.get('requeues', 0)} requeues, "
             f"{len(self.quarantined)} quarantined]"
         )
-        memo = self.engine.get("shared_memo") or {}
-        if memo or s.memo_shared_hits:
-            line += (
-                f"\n[shared memo] {s.memo_shared_hits} cross-workload "
-                f"hit(s) served"
-            )
-            if memo:
-                line += (
-                    f"; service table: {memo.get('entries', 0)} entrie(s) "
-                    f"({memo.get('buggy', 0)} buggy pinned), "
-                    f"{memo.get('hits', 0)}/{memo.get('hits', 0) + memo.get('misses', 0)} "
-                    f"lookup(s) hit, {memo.get('evictions', 0)} eviction(s)"
-                )
         if self.interrupted:
             line += " [INTERRUPTED — resume with --resume]"
         return line

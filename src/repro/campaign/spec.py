@@ -53,17 +53,6 @@ class CampaignSpec:
     #: picks numpy when importable; ``"python"``/``"numpy"`` pin one.  In
     #: the spec so every worker replays states on the same backend.
     image_backend: str = "auto"
-    #: Campaign-wide shared check memo: workers dedup clean verdicts
-    #: against one table instead of each rediscovering the same states.
-    #: With :attr:`memo_address` unset the engine hosts the service itself
-    #: on a loopback ephemeral port.
-    shared_memo: bool = False
-    #: ``HOST:PORT`` of an external ``repro memod`` — lets campaigns on
-    #: several hosts share one table.  Implies :attr:`shared_memo`.
-    memo_address: Optional[str] = None
-    #: Local memo bound (``ChipmunkConfig.memo_entries``): LRU cap on
-    #: clean verdict entries per workload memo; 0 = unbounded.
-    memo_entries: int = 262144
 
     def __post_init__(self) -> None:
         if self.fs not in FS_CLASSES():
@@ -78,13 +67,6 @@ class CampaignSpec:
 
         if self.image_backend not in BACKEND_CHOICES:
             raise ValueError(f"unknown image backend {self.image_backend!r}")
-        if self.memo_address is not None:
-            from repro.memo.client import parse_address
-
-            parse_address(self.memo_address)  # raises ValueError if malformed
-            # An external address only makes sense with sharing on; fold it
-            # in so `memo_address and not shared_memo` is unrepresentable.
-            object.__setattr__(self, "shared_memo", True)
 
     @property
     def mode(self) -> str:
@@ -98,7 +80,7 @@ class CampaignSpec:
             return BugConfig.fixed()
         return BugConfig.only(*self.bug_ids)
 
-    def build_chipmunk(self, telemetry=None, shared_memo=None) -> Chipmunk:
+    def build_chipmunk(self, telemetry=None) -> Chipmunk:
         return Chipmunk(
             self.fs,
             bugs=self.bug_config(),
@@ -108,10 +90,8 @@ class CampaignSpec:
                 crash_plans=self.crash_plans,
                 profile=self.profile,
                 image_backend=self.image_backend,
-                memo_entries=self.memo_entries,
             ),
             telemetry=telemetry,
-            shared_memo=shared_memo,
         )
 
     # ------------------------------------------------------------------
@@ -120,5 +100,7 @@ class CampaignSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "CampaignSpec":
+        # Unknown keys are dropped, so a journal written before a knob was
+        # retired still resumes.
         known = {f for f in cls.__dataclass_fields__}
         return cls(**{k: v for k, v in data.items() if k in known})

@@ -109,8 +109,7 @@ class Snapshot:
         """Sum the exploration counters out of the journaled results."""
         totals: Dict[str, object] = {
             "crash_states": 0, "checked": 0, "memo_hits": 0,
-            "memo_misses": 0, "memo_shared_hits": 0, "memo_shared_errors": 0,
-            "reports": 0, "mech_plans": 0,
+            "memo_misses": 0, "reports": 0, "mech_plans": 0,
             "mech_fallbacks": 0,
         }
         profile_bytes: Dict[str, int] = {}
@@ -120,12 +119,6 @@ class Snapshot:
                 totals["checked"] += int(fields.get("n_unique_states", 0))
                 totals["memo_hits"] += int(fields.get("memo_hits", 0))
                 totals["memo_misses"] += int(fields.get("memo_misses", 0))
-                totals["memo_shared_hits"] += int(
-                    fields.get("memo_shared_hits", 0)
-                )
-                totals["memo_shared_errors"] += int(
-                    fields.get("memo_shared_errors", 0)
-                )
                 totals["reports"] += len(list(fields.get("reports", [])))
                 totals["mech_plans"] += int(
                     fields.get("mech_plans_emitted", 0)
@@ -220,21 +213,10 @@ class CampaignMonitor:
             f"{totals['memo_hits'] / memo_total * 100:.0f}%"
             if memo_total else "--"
         )
-        shared = ""
-        if totals["memo_shared_hits"] or totals["memo_shared_errors"]:
-            shared = (
-                f"shared hits {totals['memo_shared_hits']}"
-                + (
-                    f" ({totals['memo_shared_errors']} err)"
-                    if totals["memo_shared_errors"] else ""
-                )
-                + "   "
-            )
         lines.append(
             f"crash states {totals['crash_states']}   "
             f"checked {totals['checked']}   "
             f"memo hit-rate {memo}   "
-            f"{shared}"
             f"bug reports {totals['reports']}"
         )
         if totals["mech_plans"] or totals["mech_fallbacks"]:

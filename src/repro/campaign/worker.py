@@ -37,7 +37,6 @@ from typing import Dict, List, Optional
 
 from repro.campaign.queue import WorkItem
 from repro.campaign.spec import CampaignSpec
-from repro.memo.client import MemoClient
 from repro.obs import Telemetry
 from repro.workloads import ace
 from repro.workloads.fuzzer import WorkloadFuzzer
@@ -119,16 +118,13 @@ def worker_main(
     campaign_dir: str,
     fault: Optional[dict] = None,
     run_tag: str = "run",
-    memo_address: Optional[str] = None,
 ) -> None:
     """Process entrypoint (top-level so it survives spawn-style pickling).
 
     ``run_tag`` distinguishes engine invocations: a resumed campaign's
-    workers must not overwrite the original run's trace files.
-    ``memo_address`` points at the campaign's shared check-memo service
-    (engine-hosted or external ``repro memod``); the client degrades to
-    local-only memoization on any failure, so a bad address costs a few
-    timeouts, never the campaign.
+    workers must not overwrite the original run's trace files.  The
+    worker builds one :class:`~repro.core.harness.Chipmunk`, so its check
+    memo keeps clean verdicts across every workload the worker runs.
     """
     spec = CampaignSpec.from_dict(spec_dict)
     telemetry = None
@@ -137,13 +133,7 @@ def worker_main(
         telemetry.meta.update(
             fs=spec.fs, generator=spec.generator, worker=wid, run=run_tag,
         )
-    shared = None
-    if memo_address:
-        try:
-            shared = MemoClient(memo_address)
-        except ValueError:
-            shared = None  # malformed address: run local-only
-    chipmunk = spec.build_chipmunk(telemetry=telemetry, shared_memo=shared)
+    chipmunk = spec.build_chipmunk(telemetry=telemetry)
     results_path = os.path.join(
         campaign_dir, f"worker-{run_tag}-{wid}.results.jsonl"
     )
@@ -193,7 +183,5 @@ def worker_main(
             telemetry.export_jsonl(trace_path)
         except OSError:
             pass
-    if shared is not None:
-        shared.close()
     results_fh.close()
     result_q.put((MSG_STOPPED, wid))

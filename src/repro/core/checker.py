@@ -30,7 +30,7 @@ from repro.obs import profile as _profile
 from repro.core.replayer import CrashState
 from repro.core.report import BugReport, Consequence, diff_trees
 from repro.fs.common.alloc import AllocatorError
-from repro.memo.store import BUGGY, CLEAN, DEFAULT_MAX_ENTRIES, MemoTable
+from repro.memo.store import MemoTable
 from repro.obs.attribution import MemoAttribution
 from repro.obs.metrics import CacheCounters
 from repro.pm.device import PMDevice, PMDeviceError
@@ -89,11 +89,11 @@ class ConsistencyChecker:
         #: oracle can only ever yield the same verdict.
         self.outcome_digests: set = set()
         # Oracle-context digests cached per (syscall, mid, after) — the
-        # per-workload half of the shared memo key (see context_digest).
+        # expectations part of the check-memo key (see context_digest).
         self._ctx_digests: Dict[Tuple, bytes] = {}
 
     # ------------------------------------------------------------------
-    # Oracle-context digest (shared check-memo key component)
+    # Oracle-context digest (check-memo key component)
     # ------------------------------------------------------------------
     def context_digest(self, state: CrashState) -> bytes:
         """Digest of everything besides the image that decides a verdict.
@@ -105,9 +105,8 @@ class ConsistencyChecker:
         oracle trees the state's ``(syscall, mid_syscall, after_syscall)``
         context is compared against.  Equal digest ⟹ equal expectations ⟹
         (with equal image bytes) equal verdict — the soundness argument for
-        sharing verdicts across workloads, workers, and hosts.  Tree
-        digests go through :meth:`_tree_digest`, a pure function of the
-        observable tree, so the digest is host-portable.
+        reusing clean verdicts across workloads.  Tree digests go through
+        :meth:`_tree_digest`, a pure function of the observable tree.
 
         Cached per context: a workload has a handful of contexts but
         thousands of states.
@@ -476,89 +475,80 @@ class ConsistencyChecker:
         return reports
 
 
+#: Length of a sha1 digest; the memo key packs two of them first.
+_SHA1_LEN = 20
+
+
 class CheckMemo:
-    """Content-addressed check memoization: one checker run per distinct image.
+    """Content-addressed check memoization: one checker run per distinct state.
 
     The single entry point for checking crash states (the harness calls
     nothing else), so memoization and the per-state ``check_state``
-    telemetry span wrap the same code path.  States are keyed by
-    ``(image content address, syscall, mid_syscall, after_syscall)`` — the
-    content address alone is not enough, because a byte-identical image
-    crash-checked mid-syscall and post-syscall is judged against different
-    oracle expectations.
+    telemetry span wrap the same code path.
 
-    With ``delta=True`` the content address is the *canonical* byte-
-    granular key (:meth:`~repro.obs.attribution.MemoAttribution.content_key`:
-    sha1 over the fence-base digest and the exact byte diff from base via
+    **One key.** A state is keyed by ``context_digest ‖ content address ‖
+    (syscall, mid_syscall, after_syscall)``.  The checker's
+    :meth:`~ConsistencyChecker.context_digest` covers everything besides
+    the image that decides a verdict — file system, bug set, checker knobs
+    and the oracle trees the state is compared against — so key equality
+    implies byte-identical images *and* identical expectations, hence an
+    identical verdict in any workload.  A byte-identical image
+    crash-checked mid-syscall and post-syscall gets two keys.
+
+    With ``delta=True`` the content address is the canonical byte-granular
+    key (:meth:`~repro.obs.attribution.MemoAttribution.content_key`: sha1
+    over the fence-base digest and the exact byte diff from base via
     :func:`~repro.pm.image.flatten_overlay`) — O(overlay), no
     materialization, and identical for every overlay shape that
-    materializes the same bytes.  Two states whose overlays partition the
-    same content into different write ranges, or that differ only in
-    residual no-op bytes, now *hit*; under the earlier range-wise
-    :meth:`~repro.pm.image.CrashImage.digest` keying they were the
-    ``overlay_shape`` / ``noop_write_perturbation`` miss classes.  Key
-    equality still implies byte-identical images, so a hit can never skip
-    a state that would have checked differently — memoization cannot mask
-    a bug, only cost a redundant check.
+    materializes the same bytes.  With ``delta=False`` every state is
+    materialized and keyed by ``sha1(image)`` — eager whole-image dedup,
+    the ``--no-memoize`` reference.
 
-    With ``delta=False`` every state is materialized and keyed by
-    ``sha1(image)`` — the eager whole-image dedup this PR replaces, kept as
-    the benchmark baseline and for flat-``bytes`` states.
+    **Clean verdicts outlive the workload.**  A state that checks CLEAN
+    is recorded in ``table``, the :class:`~repro.memo.store.MemoTable` the
+    harness shares across every workload of one
+    :class:`~repro.core.harness.Chipmunk`; without a table the memo builds
+    its own per-workload one (the ``--no-memoize`` path, which keeps the
+    reference run independent of cross-workload reuse).  Skipping a state
+    whose verdict is provably clean cannot change ``bugs.json``: there are
+    no reports to suppress.  LRU eviction of a clean entry only costs a
+    redundant check.
 
-    :meth:`check` returns ``None`` on a memo hit (the state was already
-    checked; any findings are already in the caller's hands) and the
-    checker's report list on a miss.
+    **Buggy keys stay per workload**, in this memo's own set.  A buggy
+    state recurring inside the workload is skipped (its reports are
+    already in the caller's hands); met again in a later workload it is
+    re-checked and emits that workload's own reports, exactly as a
+    memo-off run does.  Keeping buggy keys out of the LRU also means none
+    is ever evicted and re-reported within a workload.
+
+    :meth:`check` returns ``None`` on a memo hit and the checker's report
+    list on a miss.
 
     Every miss is classified by a :class:`~repro.obs.attribution.MemoAttribution`
-    (cold base / overlay shape / no-op perturbation / syscall context /
-    new content — the reason counts sum exactly to :attr:`misses`).  With
-    the canonical key the two avoidable classes are structurally
-    unreachable; a nonzero ``overlay_shape`` or
-    ``noop_write_perturbation`` count is a regression signal that the key
-    stopped being a pure function of the bytes.  Overlay writes dropped as
-    whole-write no-ops are still tallied in :attr:`noop_writes_dropped`.
-    With telemetry attached both surface as registry counters:
-    ``checker.memo.miss.{reason}`` and ``checker.memo.noop_writes_dropped``.
-
-    **Local tier.** Verdicts live in a :class:`~repro.memo.store.MemoTable`
-    bounded at ``max_entries`` clean entries (LRU).  Buggy keys are pinned:
-    evicting one would re-check the state and append its reports *again*,
-    breaking memo-on/off ``bugs.json`` byte-equality; evicting a clean key
-    only costs a redundant check.  Evictions surface as
-    ``checker.memo.evictions``.
-
-    **Shared tier.** With ``shared`` attached (a
-    :class:`~repro.memo.client.MemoClient` or anything with the same
-    ``ok``/``lookup``/``publish`` surface), locally-missed states consult
-    the campaign-wide service under a key that folds the checker's
-    :meth:`~ConsistencyChecker.context_digest` into the content address —
-    equal shared key ⟹ equal image bytes *and* equal oracle expectations
-    ⟹ equal verdict, across workloads, workers, and hosts.  Only ``CLEAN``
-    verdicts are shared and only ``CLEAN`` shared hits skip the check: a
-    buggy state's reports carry workload-specific identity (workload and
-    crash descriptions, provenance), so it is always re-checked locally and
-    its reports land in ``bugs.json`` exactly as without the service.  A
-    shared hit can therefore never mask a bug — it elides re-checks whose
-    outcome is provably empty.  Shared failures degrade silently: every
-    shared call is exception-guarded, errors count into
-    ``checker.memo.shared.errors``, and the memo runs on indistinguishably
-    with the local tier alone.
+    (cold base / syscall context / new content — the reason counts sum
+    exactly to :attr:`misses`).  A hit on an entry an earlier workload
+    recorded counts in :attr:`cross_hits` and seeds the attribution, so
+    later misses on the same fence base are not misread as cold.  Overlay
+    writes dropped as whole-write no-ops are tallied in
+    :attr:`noop_writes_dropped`.  With telemetry attached these surface as
+    registry counters: ``checker.memo.miss.{reason}``,
+    ``checker.memo.noop_writes_dropped`` and ``checker.memo.evictions``.
     """
 
     def __init__(self, checker: ConsistencyChecker, telemetry=None,
-                 delta: bool = True, shared=None,
-                 max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
+                 delta: bool = True,
+                 table: Optional[MemoTable] = None) -> None:
         self.checker = checker
         self.delta = delta
-        self.shared = shared
         self._tel = telemetry if telemetry is not None and telemetry.enabled else None
         #: Per-memo hit/miss counts (one memo per workload).
         self.hits = 0
         self.misses = 0
-        #: Hits served by the shared service (also counted in :attr:`hits`).
-        self.shared_hits = 0
-        #: Shared-service calls that failed (degraded to a local miss).
-        self.shared_errors = 0
+        #: Hits on clean entries an earlier workload recorded (also
+        #: counted in :attr:`hits`).
+        self.cross_hits = 0
+        #: Clean entries this memo's publishes pushed out of the table.
+        self.evictions = 0
         #: Overlay writes dropped before digesting because they were
         #: byte-equal to the base (summed over every state keyed).
         self.noop_writes_dropped = 0
@@ -571,136 +561,84 @@ class CheckMemo:
             if self._tel is not None
             else None
         )
-        self._local = MemoTable(max_entries)
+        self._table = table if table is not None else MemoTable()
+        self._buggy: set = set()
+        # The tag this memo's table entries carry, telling a hit on an
+        # earlier workload's entry from a hit on this workload's own.
+        self._tag = object()
 
-    def key_of(self, state: CrashState):
+    def key_of(self, state: CrashState) -> bytes:
         prof = _profile.ACTIVE
         t0 = perf_counter() if prof is not None else 0.0
         m0 = prof.mark() if prof is not None else 0.0
         image = state.image
         if self.delta and isinstance(image, CrashImage):
-            digest = MemoAttribution.content_key(image)
+            content = MemoAttribution.content_key(image)
         else:
-            digest = hashlib.sha1(
+            content = hashlib.sha1(
                 image if isinstance(image, (bytes, bytearray)) else bytes(image)
             ).digest()
+        key = b"".join((
+            self.checker.context_digest(state),
+            content,
+            struct.pack(
+                ">iBi",
+                state.syscall if state.syscall is not None else -1,
+                1 if state.mid_syscall else 0,
+                state.after_syscall,
+            ),
+        ))
         if prof is not None:
             # Exclusive of the flatten the content key runs internally
             # (profiled at its own site in the same stage).
             prof.add_exclusive("memo.key", perf_counter() - t0, m0)
-        return (digest, state.syscall, state.mid_syscall, state.after_syscall)
+        return key
 
     @property
     def checked(self) -> int:
         """States actually checked — the campaign's "unique states"."""
         return self.misses
 
-    @property
-    def evictions(self) -> int:
-        """Clean entries LRU-evicted from the local table."""
-        return self._local.evictions
-
-    def shared_key(self, state: CrashState, key) -> bytes:
-        """Campaign-wide key: oracle context folded into the content address.
-
-        The local key's ``(syscall, mid, after)`` tuple is only meaningful
-        inside one workload; across workloads the same tuple names
-        different expectations.  The shared key replaces it with the
-        checker's :meth:`~ConsistencyChecker.context_digest` (the packed
-        tuple rides along so distinct contexts that happen to hash-collide
-        on expectations still separate), making key equality imply verdict
-        equality fleet-wide.
-        """
-        h = hashlib.sha1()
-        h.update(self.checker.context_digest(state))
-        h.update(key[0])
-        h.update(struct.pack(
-            ">iBi",
-            state.syscall if state.syscall is not None else -1,
-            1 if state.mid_syscall else 0,
-            state.after_syscall,
-        ))
-        return h.digest()
-
-    # -- shared-tier wrappers: any failure is a degraded miss, never a raise
-    def _shared_lookup(self, skey: bytes) -> Optional[str]:
-        try:
-            t0 = perf_counter()
-            verdict = self.shared.lookup(skey)
-            if self._tel is not None:
-                self._tel.observe(
-                    "checker.memo.shared.rtt_ms", (perf_counter() - t0) * 1e3
-                )
-            return verdict
-        except Exception:
-            self.shared_errors += 1
-            if self._tel is not None:
-                self._tel.count("checker.memo.shared.errors")
-            return None
-
-    def _shared_publish(self, skey: bytes, verdict: str) -> None:
-        try:
-            t0 = perf_counter()
-            self.shared.publish(skey, verdict)
-            if self._tel is not None:
-                self._tel.observe(
-                    "checker.memo.shared.rtt_ms", (perf_counter() - t0) * 1e3
-                )
-        except Exception:
-            self.shared_errors += 1
-            if self._tel is not None:
-                self._tel.count("checker.memo.shared.errors")
+    def _hit(self) -> None:
+        self.hits += 1
+        if self._counters is not None:
+            self._counters.hit()
 
     def check(self, state: CrashState) -> Optional[List[BugReport]]:
         key = self.key_of(state)
-        if self.delta and isinstance(state.image, CrashImage):
-            dropped = state.image.noop_dropped
+        image = state.image
+        if self.delta and isinstance(image, CrashImage):
+            dropped = image.noop_dropped
             if dropped:
                 self.noop_writes_dropped += dropped
                 if self._tel is not None:
                     self._tel.count("checker.memo.noop_writes_dropped", dropped)
-        if self._local.lookup(key) is not None:
-            self.hits += 1
-            if self._counters is not None:
-                self._counters.hit()
+        if key in self._buggy:
+            self._hit()
             return None
-        # On the delta path (and for flat images) the memo digest *is* the
-        # canonical content key — hand it over so attribution never
+        # On the delta path (and for flat images) the key's content address
+        # *is* the canonical content key — hand it over so attribution never
         # re-flattens the overlay.
-        precomputed = (
-            key[0]
-            if self.delta or not isinstance(state.image, CrashImage)
-            else None
-        )
-        skey = None
-        if self.shared is not None and getattr(self.shared, "ok", True):
-            skey = self.shared_key(state, key)
-            if self._shared_lookup(skey) == CLEAN:
-                # Another workload/worker/host already checked these exact
-                # bytes under these exact expectations and found nothing.
-                # Clean-only: there are no reports to suppress, so skipping
-                # cannot change bugs.json.
-                self.hits += 1
-                self.shared_hits += 1
-                if self._counters is not None:
-                    self._counters.hit()
-                if self._tel is not None:
-                    self._tel.count("checker.memo.shared.hits")
-                self._local.publish(key, CLEAN)
-                # A shared hit is a hit, not a miss: seed the attribution
-                # universe (base + context now "seen") without a reason
-                # count, keeping sum(reasons) == misses structural.
-                self.attribution.note_shared_hit(state, ckey=precomputed)
-                return None
-            if self._tel is not None:
-                self._tel.count("checker.memo.shared.misses")
+        content = key[_SHA1_LEN:2 * _SHA1_LEN]
+        ckey = content if self.delta or not isinstance(image, CrashImage) else None
+        tag = self._table.lookup(key)
+        if tag is not None:
+            if tag is not self._tag:
+                # An earlier workload checked these bytes under these
+                # expectations and found nothing.  Re-tag the entry so
+                # further hits in this workload count as local, and mark
+                # the state seen for attribution.
+                self.cross_hits += 1
+                self._table.publish(key, self._tag)
+                self.attribution.note_cross_workload_hit(state, ckey=ckey)
+            self._hit()
+            return None
         self.misses += 1
-        reason = self.attribution.classify_miss(state, key[0], ckey=precomputed)
+        reason = self.attribution.classify_miss(state, content, ckey=ckey)
         if self._counters is not None:
             self._counters.miss()
         if self._tel is not None:
             self._tel.count("checker.memo.miss." + reason)
-        if self._tel is not None:
             with self._tel.span(
                 "check_state",
                 fence=state.fence_index,
@@ -710,16 +648,12 @@ class CheckMemo:
                 reports = self.checker.check(state)
         else:
             reports = self.checker.check(state)
-        verdict = BUGGY if reports else CLEAN
-        before = self._local.evictions
-        self._local.publish(key, verdict)
-        if self._tel is not None and self._local.evictions > before:
-            self._tel.count(
-                "checker.memo.evictions", self._local.evictions - before
-            )
-        if skey is not None and verdict == CLEAN:
-            # Only clean verdicts travel: a shared BUGGY entry could never
-            # be used to skip (buggy states always re-check locally), so
-            # publishing it would be pure table growth.
-            self._shared_publish(skey, CLEAN)
+        if reports:
+            self._buggy.add(key)
+            return reports
+        evicted = self._table.publish(key, self._tag)
+        if evicted:
+            self.evictions += evicted
+            if self._tel is not None:
+                self._tel.count("checker.memo.evictions", evicted)
         return reports

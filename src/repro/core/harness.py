@@ -26,6 +26,7 @@ from repro.core.report import BugReport
 from repro.core.triage import Cluster, layout_map_for, triage_reports
 from repro.fs.bugs import BugConfig
 from repro.fs.registry import fs_class as lookup_fs_class
+from repro.memo.store import MemoTable
 from repro.obs import NULL
 from repro.obs import profile as _profile
 from repro.pm.device import PMDevice
@@ -57,13 +58,10 @@ class ChipmunkConfig:
     forensics: bool = True
     #: Content-addressed check memoization: key crash states by their
     #: O(overlay) delta digest instead of hashing the materialized image
-    #: (:class:`repro.core.checker.CheckMemo`).  ``False`` falls back to
-    #: eager whole-image sha1 dedup — same reports, eager cost.
+    #: (:class:`repro.core.checker.CheckMemo`), and keep clean verdicts
+    #: across workloads.  ``False`` falls back to eager whole-image sha1
+    #: dedup within each workload — same reports, eager cost.
     memoize: bool = True
-    #: Local check-memo bound: LRU cap on *clean* verdict entries per
-    #: workload memo (buggy entries are pinned — see
-    #: :class:`repro.memo.store.MemoTable`); 0 disables the bound.
-    memo_entries: int = 262144
     #: Crash-plan selection: ``"subset"`` enumerates capped store subsets
     #: per fence epoch (the paper's strategy); ``"mech"`` recognizes the
     #: persistence mechanism behind each epoch (:mod:`repro.mech`) and
@@ -143,14 +141,8 @@ class TestResult:
     #: Overlay writes dropped as no-ops before digesting
     #: (``checker.memo.noop_writes_dropped``).
     memo_noop_dropped: int = 0
-    #: Hits served by the campaign-wide shared memo service
-    #: (``checker.memo.shared.hits``); also counted in :attr:`memo_hits`.
-    memo_shared_hits: int = 0
-    #: Shared-service calls that failed and degraded to local misses
-    #: (``checker.memo.shared.errors``).
-    memo_shared_errors: int = 0
-    #: Clean entries LRU-evicted from the local memo
-    #: (``checker.memo.evictions``).
+    #: Clean entries this workload's publishes LRU-evicted from the memo
+    #: table (``checker.memo.evictions``).
     memo_evictions: int = 0
     #: Distinct recovered observable outcomes among the checked states —
     #: the numerator of the output-equivalence pruning headroom.
@@ -233,8 +225,6 @@ class TestResult:
             "memo_miss_reasons": dict(self.memo_miss_reasons),
             "memo_collisions": [list(c) for c in self.memo_collisions],
             "memo_noop_dropped": self.memo_noop_dropped,
-            "memo_shared_hits": self.memo_shared_hits,
-            "memo_shared_errors": self.memo_shared_errors,
             "memo_evictions": self.memo_evictions,
             "n_unique_outcomes": self.n_unique_outcomes,
             "persistence": {k: dict(v) for k, v in self.persistence.items()},
@@ -281,8 +271,6 @@ class TestResult:
                 for c in list(data.get("memo_collisions", []))
             ],
             memo_noop_dropped=int(data.get("memo_noop_dropped", 0)),
-            memo_shared_hits=int(data.get("memo_shared_hits", 0)),
-            memo_shared_errors=int(data.get("memo_shared_errors", 0)),
             memo_evictions=int(data.get("memo_evictions", 0)),
             n_unique_outcomes=int(data.get("n_unique_outcomes", 0)),
             persistence={
@@ -318,7 +306,6 @@ class Chipmunk:
         bugs: Optional[BugConfig] = None,
         config: Optional[ChipmunkConfig] = None,
         telemetry=None,
-        shared_memo=None,
     ) -> None:
         self.fs_class = lookup_fs_class(fs) if isinstance(fs, str) else fs
         self.bugs = bugs if bugs is not None else BugConfig.buggy(self.fs_class.name)
@@ -326,11 +313,10 @@ class Chipmunk:
         #: Telemetry sink (:class:`repro.obs.Telemetry`); defaults to the
         #: null object, which keeps the pipeline uninstrumented.
         self.telemetry = telemetry if telemetry is not None else NULL
-        #: Campaign-wide shared memo backend (a
-        #: :class:`repro.memo.client.MemoClient` or compatible); every
-        #: workload's :class:`CheckMemo` consults it for cross-workload
-        #: clean-verdict dedup.  None runs local-only.
-        self.shared_memo = shared_memo
+        #: Clean check verdicts, kept for this instance's lifetime: every
+        #: memoized workload's :class:`CheckMemo` skips states an earlier
+        #: workload already checked clean under the same expectations.
+        self.memo_table = MemoTable()
 
     # ------------------------------------------------------------------
     def record(self, workload: Workload, setup: Workload = (), coverage=None) -> tuple:
@@ -457,13 +443,14 @@ class Chipmunk:
         stats = ReplayStats()
         # The memo is the single entry point for checking: dedup (by delta
         # digest or eager sha1, per ``config.memoize``), the ``check_state``
-        # telemetry span, and the checker call all live behind it.
+        # telemetry span, and the checker call all live behind it.  The
+        # memo-off reference keeps a per-workload table, independent of
+        # cross-workload reuse.
         memo = CheckMemo(
             checker,
             telemetry=tel,
             delta=self.config.memoize,
-            shared=self.shared_memo,
-            max_entries=self.config.memo_entries,
+            table=self.memo_table if self.config.memoize else None,
         )
         planner = None
         if self.config.crash_plans == "mech" and crash_points == "fence":
@@ -580,8 +567,6 @@ class Chipmunk:
                 [key, count] for key, count in memo.attribution.top_collisions()
             ],
             memo_noop_dropped=memo.noop_writes_dropped,
-            memo_shared_hits=memo.shared_hits,
-            memo_shared_errors=memo.shared_errors,
             memo_evictions=memo.evictions,
             n_unique_outcomes=len(checker.outcome_digests),
             persistence=persistence,
@@ -661,8 +646,6 @@ class Chipmunk:
             memo_miss_reasons=result.memo_miss_reasons,
             memo_collisions=result.memo_collisions,
             memo_noop_dropped=result.memo_noop_dropped,
-            memo_shared_hits=result.memo_shared_hits,
-            memo_shared_errors=result.memo_shared_errors,
             memo_evictions=result.memo_evictions,
             n_unique_outcomes=result.n_unique_outcomes,
             persistence=result.persistence,

@@ -1,37 +1,27 @@
-"""Bounded verdict store: the table behind both the local and shared memo.
+"""Bounded table of clean check verdicts.
 
-One :class:`MemoTable` maps an opaque key (the memo's content-addressed
-key, or the shared service's context-folded digest) to a *verdict*:
+One :class:`MemoTable` lives as long as the worker's
+:class:`~repro.core.harness.Chipmunk` and maps each check-memo key of a
+state that checked CLEAN (zero reports) to a tag naming the workload
+memo that last used the entry, which lets
+:class:`~repro.core.checker.CheckMemo` tell a cross-workload hit from a
+within-workload one.
 
-``CLEAN``
-    The state was checked and produced zero reports.  Skipping a re-check
-    of a clean state can never change ``bugs.json`` — there is nothing to
-    suppress — so clean entries are the ones worth sharing and the ones
-    safe to evict (re-checking an evicted clean state costs time, never
-    correctness).
-``BUGGY``
-    The state produced at least one report.  Buggy entries are **pinned**:
-    they are never evicted, because inside one workload an evicted buggy
-    key would be re-checked and its reports appended *again*, breaking the
-    memo-on/off byte-equality contract.  Pinning is naturally bounded —
-    the harness stops a workload at ``max_reports_per_workload`` (64), so
-    a table can only ever pin a handful of buggy keys per workload.
+Only clean verdicts live here.  Skipping a re-check of a clean state can
+never change ``bugs.json`` — there is nothing to suppress — so clean
+entries are the ones safe to keep across workloads and the ones safe to
+evict (re-checking an evicted clean state costs time, never correctness).
+Buggy keys stay in each workload memo's own set: a buggy state met again
+in a later workload is re-checked there and emits that workload's
+reports.
 
-Eviction is LRU over the clean entries only, bounded by ``max_entries``
-(0 disables the bound).  The table is thread-safe: the shared memo server
-serves one thread per connection against a single instance.
+Eviction is LRU, bounded by ``max_entries`` (0 disables the bound).
 """
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
-from typing import Dict, Optional
-
-#: Verdict labels stored per key (and carried over the wire protocol).
-CLEAN = "clean"
-BUGGY = "buggy"
-VERDICTS = (CLEAN, BUGGY)
+from typing import Optional
 
 #: Default clean-entry cap.  A seq-2 campaign checks ~10^5 distinct states;
 #: at ~100 bytes per table entry this bounds the store near 25 MiB while
@@ -40,74 +30,35 @@ DEFAULT_MAX_ENTRIES = 262144
 
 
 class MemoTable:
-    """Thread-safe, LRU/size-bounded verdict table."""
+    """LRU-bounded table of keys whose check came back CLEAN."""
 
     def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
         self.max_entries = int(max_entries)
-        self._clean: "OrderedDict[object, bool]" = OrderedDict()
-        self._buggy: set = set()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
+        self._clean: "OrderedDict[object, object]" = OrderedDict()
         self.evictions = 0
-        self.publishes = 0
 
-    # ------------------------------------------------------------------
-    def lookup(self, key) -> Optional[str]:
-        """Return the stored verdict, refreshing LRU recency; None = miss."""
-        with self._lock:
-            if key in self._buggy:
-                self.hits += 1
-                return BUGGY
-            if key in self._clean:
-                self._clean.move_to_end(key)
-                self.hits += 1
-                return CLEAN
-            self.misses += 1
-            return None
-
-    def publish(self, key, verdict: str) -> None:
-        """Record a verdict; idempotent, so racing workers publishing the
-        same key (both missed, both checked byte-identical states under the
-        same oracle context) converge on the same entry."""
-        if verdict not in VERDICTS:
-            raise ValueError(f"unknown verdict {verdict!r}")
-        with self._lock:
-            self.publishes += 1
-            if verdict == BUGGY:
-                # Key equality implies verdict equality, so a clean→buggy
-                # transition only happens for keys that were never clean;
-                # the pop is defensive, keeping the invariant structural.
-                self._clean.pop(key, None)
-                self._buggy.add(key)
-                return
-            if key in self._buggy:
-                return
-            self._clean[key] = True
+    def lookup(self, key) -> Optional[object]:
+        """Return the key's tag, refreshing LRU recency; None = miss."""
+        tag = self._clean.get(key)
+        if tag is not None:
             self._clean.move_to_end(key)
-            if self.max_entries > 0:
-                while len(self._clean) > self.max_entries:
-                    self._clean.popitem(last=False)
-                    self.evictions += 1
+        return tag
 
-    # ------------------------------------------------------------------
+    def publish(self, key, tag: object = True) -> int:
+        """Record ``key`` as clean under ``tag`` (re-tagging an existing
+        entry); returns how many entries the bound evicted."""
+        self._clean[key] = tag
+        self._clean.move_to_end(key)
+        evicted = 0
+        if self.max_entries > 0:
+            while len(self._clean) > self.max_entries:
+                self._clean.popitem(last=False)
+                evicted += 1
+        self.evictions += evicted
+        return evicted
+
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._clean) + len(self._buggy)
+        return len(self._clean)
 
     def __contains__(self, key) -> bool:
-        with self._lock:
-            return key in self._buggy or key in self._clean
-
-    def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "entries": len(self._clean) + len(self._buggy),
-                "clean": len(self._clean),
-                "buggy": len(self._buggy),
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "publishes": self.publishes,
-                "max_entries": self.max_entries,
-            }
+        return key in self._clean

@@ -1,37 +1,24 @@
 """Memo-miss attribution: *why* did a check-memo lookup miss?
 
-The delta-replay memo (:class:`repro.core.checker.CheckMemo`) keys crash
-states by the canonical byte-granular content address
+The check memo (:class:`repro.core.checker.CheckMemo`) keys crash states
+by the canonical byte-granular content address
 (:meth:`MemoAttribution.content_key`): equality implies byte-identical
 images, and — because the key flattens the overlay down to the exact byte
 diff from base — every overlay shape that materializes the same bytes
-produces the same key.  This module classifies every remaining miss into
-exactly one of:
+produces the same key.  This module classifies every miss into exactly
+one of:
 
 ``cold_base``
     The fence base's content digest had never been seen — the first state
     of a new persistent epoch.  Unavoidable: nothing to memoize against.
-``overlay_shape``
-    The *materialized* content (base + exact byte diff, via
-    :func:`repro.pm.image.flatten_overlay`) was already checked under the
-    same syscall context, but the memo's key still differed.  With the
-    canonical content key this is structurally unreachable; it was the
-    dominant avoidable class under the earlier range-wise digest keying
-    and is kept as a regression sentinel — a nonzero count means the key
-    stopped being a pure function of the bytes.
-``noop_write_perturbation``
-    Same as ``overlay_shape``, except the incoming overlay carries
-    *residual* no-op bytes — bytes it writes that equal the base — which
-    whole-write dropping (:meth:`repro.pm.image.CrashImage.effective_writes`)
-    could not remove because they ride inside partially-effective or
-    overlapping writes.  Also a sentinel now: byte-granular flattening
-    drops residual no-op bytes before hashing.
 ``syscall_context``
     The content was seen before, but only under a different
     ``(syscall, mid_syscall, after_syscall)`` context.  A *necessary*
     miss: the same image is judged against different oracle expectations.
 ``new_content``
-    Genuinely new image content.  Necessary by definition.
+    Content this workload has not checked under this context.  Necessary
+    by definition — short of a re-check of a clean state whose entry the
+    memo's LRU bound evicted (counted separately as an eviction).
 
 Classification is exact, not sampled — the memo hands over the content
 key it already computed, so the per-miss cost is set lookups, and a miss
@@ -41,8 +28,8 @@ receives exactly one label.
 
 The attribution also keeps a colliding-digest table: content keys that
 were checked under more than one distinct memo digest.  Under canonical
-keying the two coincide, so any entry here is the same purity-regression
-signal as a nonzero avoidable reason count.
+keying the two coincide, so any entry here is a signal that the memo key
+stopped being a pure function of the bytes.
 """
 
 from __future__ import annotations
@@ -54,18 +41,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.pm.image import CrashImage, flatten_overlay
 
 #: Classification labels, in reporting order.
-MISS_REASONS = (
-    "cold_base",
-    "overlay_shape",
-    "noop_write_perturbation",
-    "syscall_context",
-    "new_content",
-)
-
-#: Reasons the canonical (byte-granular, shape-independent) content key
-#: turns into hits.  The memo keys on that address, so these counts are
-#: expected to be zero; nonzero is a key-purity regression.
-AVOIDABLE_REASONS = ("overlay_shape", "noop_write_perturbation")
+MISS_REASONS = ("cold_base", "syscall_context", "new_content")
 
 
 class MemoAttribution:
@@ -106,37 +82,6 @@ class MemoAttribution:
             image if isinstance(image, (bytes, bytearray)) else bytes(image)
         ).digest()
 
-    @staticmethod
-    def _residual_noop_bytes(image: CrashImage) -> int:
-        """Base-equal bytes the effective overlay still writes.
-
-        The union coverage of the effective writes minus the flattened
-        diff size: every covered byte either differs from base (counted in
-        the diff) or equals it (a residual no-op byte whole-write dropping
-        could not remove).
-        """
-        spans: List[Tuple[int, int]] = []
-        for addr, data in image.effective_writes():
-            spans.append((addr, addr + len(data)))
-        spans.sort()
-        covered = 0
-        cur_start: Optional[int] = None
-        cur_end = 0
-        for start, end in spans:
-            if cur_start is None or start > cur_end:
-                if cur_start is not None:
-                    covered += cur_end - cur_start
-                cur_start, cur_end = start, end
-            else:
-                cur_end = max(cur_end, end)
-        if cur_start is not None:
-            covered += cur_end - cur_start
-        diff_bytes = sum(
-            len(data)
-            for _, data in flatten_overlay(image.base, image.writes)
-        )
-        return covered - diff_bytes
-
     # ------------------------------------------------------------------
     def classify_miss(
         self, state, memo_digest: bytes, ckey: Optional[bytes] = None
@@ -154,17 +99,11 @@ class MemoAttribution:
         is_delta = isinstance(image, CrashImage)
         if ckey is None:
             ckey = self.content_key(image)
+        seen = self._contexts.get(ckey)
         if is_delta and image.base.digest not in self._bases:
             reason = "cold_base"
-        elif ckey in self._contexts:
-            if context in self._contexts[ckey]:
-                reason = (
-                    "noop_write_perturbation"
-                    if is_delta and self._residual_noop_bytes(image) > 0
-                    else "overlay_shape"
-                )
-            else:
-                reason = "syscall_context"
+        elif seen is not None and context not in seen:
+            reason = "syscall_context"
         else:
             reason = "new_content"
         if is_delta:
@@ -174,17 +113,20 @@ class MemoAttribution:
         self.reasons[reason] = self.reasons.get(reason, 0) + 1
         return reason
 
-    def note_shared_hit(self, state, ckey: Optional[bytes] = None) -> None:
-        """Record a state resolved by the *shared* memo tier.
+    def note_cross_workload_hit(
+        self, state, ckey: Optional[bytes] = None
+    ) -> None:
+        """Record a state skipped on a clean verdict an earlier workload
+        recorded.
 
-        A shared hit is a hit, not a miss, so no reason is counted —
-        ``sum(reasons) == misses`` stays structural.  But the state's base
-        and context are now "seen": without seeding them, a later local
-        miss of the same fence base would be misclassified as
-        ``cold_base`` (the base is anything but cold — the fleet has
-        checked states on it), inflating the unavoidable class and
-        understating memo headroom.  No ``_shapes`` entry is recorded: the
-        colliding-digest table tracks *checked* digests only.
+        A hit is not a miss, so no reason is counted — ``sum(reasons) ==
+        misses`` stays structural.  But the state's base and context are
+        now "seen": without seeding them, a later miss on the same fence
+        base would be misclassified as ``cold_base`` (the base is anything
+        but cold — earlier workloads checked states on it), inflating the
+        unavoidable class and understating memo headroom.  No ``_shapes``
+        entry is recorded: the colliding-digest table tracks *checked*
+        digests only.
         """
         image = state.image
         context = (state.syscall, state.mid_syscall, state.after_syscall)
@@ -199,11 +141,6 @@ class MemoAttribution:
     def total(self) -> int:
         """Total classified misses (== the memo's miss count)."""
         return sum(self.reasons.values())
-
-    @property
-    def avoidable(self) -> int:
-        """Misses a canonical content key would have turned into hits."""
-        return sum(self.reasons.get(r, 0) for r in AVOIDABLE_REASONS)
 
     def top_collisions(self, k: int = 5) -> List[Tuple[str, int]]:
         """Content keys checked under more than one memo digest.

@@ -80,13 +80,7 @@ class CampaignStats:
     #: Overlay writes dropped as no-ops before digesting
     #: (``checker.memo.noop_writes_dropped``).
     n_memo_noop_dropped: int = 0
-    #: Hits served by the campaign-wide shared memo service
-    #: (``checker.memo.shared.hits``); subset of :attr:`n_memo_hits`.
-    n_memo_shared_hits: int = 0
-    #: Shared-service calls that failed and degraded to local misses
-    #: (``checker.memo.shared.errors``).
-    n_memo_shared_errors: int = 0
-    #: Clean entries LRU-evicted from local memos
+    #: Clean entries LRU-evicted from the memo tables
     #: (``checker.memo.evictions``).
     n_memo_evictions: int = 0
     #: Distinct recovered outcomes among checked states (summed per
@@ -129,8 +123,6 @@ class CampaignStats:
         self.n_memo_hits += getattr(result, "memo_hits", 0)
         self.n_memo_misses += getattr(result, "memo_misses", 0)
         self.n_memo_noop_dropped += getattr(result, "memo_noop_dropped", 0)
-        self.n_memo_shared_hits += getattr(result, "memo_shared_hits", 0)
-        self.n_memo_shared_errors += getattr(result, "memo_shared_errors", 0)
         self.n_memo_evictions += getattr(result, "memo_evictions", 0)
         self.n_unique_outcomes += getattr(result, "n_unique_outcomes", 0)
         for reason, n in getattr(result, "memo_miss_reasons", {}).items():
@@ -276,8 +268,6 @@ class CampaignStats:
         self.n_memo_hits += int(fields.get("memo_hits", 0))
         self.n_memo_misses += int(fields.get("memo_misses", 0))
         self.n_memo_noop_dropped += int(fields.get("memo_noop_dropped", 0))
-        self.n_memo_shared_hits += int(fields.get("memo_shared_hits", 0))
-        self.n_memo_shared_errors += int(fields.get("memo_shared_errors", 0))
         self.n_memo_evictions += int(fields.get("memo_evictions", 0))
         self.n_unique_outcomes += int(fields.get("n_unique_outcomes", 0))
         for reason, n in dict(fields.get("memo_miss_reasons", {})).items():
@@ -329,8 +319,6 @@ class CampaignStats:
             "memo_hit_rate": self.memo_hit_rate,
             "memo_miss_reasons": dict(self.memo_miss_reasons),
             "memo_noop_writes_dropped": self.n_memo_noop_dropped,
-            "memo_shared_hits": self.n_memo_shared_hits,
-            "memo_shared_errors": self.n_memo_shared_errors,
             "memo_evictions": self.n_memo_evictions,
             "crash_plans": self.crash_plans,
             "mech_recognized": dict(self.mech_recognized),
@@ -387,16 +375,13 @@ class CampaignStats:
                 f"{self.n_memo_misses} miss(es) "
                 f"(hit-rate {self.memo_hit_rate * 100:.1f}%)"
             )
-            if self.n_memo_shared_hits:
-                line += f"; {self.n_memo_shared_hits} served by the shared service"
             if self.n_memo_noop_dropped:
                 line += f"; {self.n_memo_noop_dropped} no-op write(s) dropped"
             lines.append(line)
-            if self.n_memo_evictions or self.n_memo_shared_errors:
+            if self.n_memo_evictions:
                 lines.append(
                     f"memo pressure: {self.n_memo_evictions} clean "
-                    f"eviction(s), {self.n_memo_shared_errors} shared-service "
-                    f"error(s) degraded to local misses"
+                    f"eviction(s)"
                 )
         if self.memo_miss_reasons:
             ordered = sorted(

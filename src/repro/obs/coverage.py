@@ -123,10 +123,7 @@ class CoverageReport:
     memo_hits: int = 0
     memo_misses: int = 0
     memo_noop_dropped: int = 0
-    #: Hits served by the campaign-wide shared memo service (a subset of
-    #: :attr:`memo_hits`: cross-workload/cross-worker clean-verdict dedup).
-    memo_shared_hits: int = 0
-    #: Clean entries LRU-evicted from bounded local memos.
+    #: Clean entries LRU-evicted from the bounded memo tables.
     memo_evictions: int = 0
     miss_reasons: Dict[str, int] = field(default_factory=dict)
     #: content-key hex -> max distinct overlay shapes seen (per workload).
@@ -161,7 +158,6 @@ class CoverageReport:
         self.memo_hits += int(fields.get("memo_hits", 0))
         self.memo_misses += int(fields.get("memo_misses", 0))
         self.memo_noop_dropped += int(fields.get("memo_noop_dropped", 0))
-        self.memo_shared_hits += int(fields.get("memo_shared_hits", 0))
         self.memo_evictions += int(fields.get("memo_evictions", 0))
         self.unique_outcomes += int(fields.get("n_unique_outcomes", 0))
         self.fences_per_workload.append(int(fields.get("n_fences", 0)))
@@ -226,12 +222,6 @@ class CoverageReport:
         return sum(self.miss_reasons.values()) == self.memo_misses
 
     @property
-    def avoidable_misses(self) -> int:
-        return self.miss_reasons.get("overlay_shape", 0) + self.miss_reasons.get(
-            "noop_write_perturbation", 0
-        )
-
-    @property
     def outcome_headroom(self) -> float:
         """Fraction of checked states recovering to an already-seen outcome."""
         if not self.states_checked:
@@ -281,7 +271,6 @@ class CoverageReport:
             "memo_misses": self.memo_misses,
             "memo_hit_rate": self.memo_hit_rate,
             "memo_noop_writes_dropped": self.memo_noop_dropped,
-            "memo_shared_hits": self.memo_shared_hits,
             "memo_evictions": self.memo_evictions,
             "memo_miss_reasons": dict(self.miss_reasons),
             "memo_miss_reasons_consistent": self.attribution_consistent,
@@ -335,23 +324,21 @@ class CoverageReport:
         lines.append("## Crash-state space")
         lines.append("")
         lines.append(
-            f"| enumerated | checked | memo hits | shared hits | "
+            f"| enumerated | checked | memo hits | "
             f"memo hit-rate | unique outcomes |"
         )
-        lines.append("| ---: | ---: | ---: | ---: | ---: | ---: |")
+        lines.append("| ---: | ---: | ---: | ---: | ---: |")
         lines.append(
             f"| {self.states_enumerated} | {self.states_checked} | "
-            f"{self.memo_hits} | {self.memo_shared_hits} | "
+            f"{self.memo_hits} | "
             f"{self.memo_hit_rate * 100:.1f}% | "
             f"{self.unique_outcomes} |"
         )
         lines.append("")
-        if self.memo_shared_hits or self.memo_evictions:
+        if self.memo_evictions:
             lines.append(
-                f"The campaign-wide shared memo served "
-                f"{self.memo_shared_hits} clean-verdict hit(s) across "
-                f"workloads/workers; {self.memo_evictions} clean local "
-                f"entrie(s) were LRU-evicted under the memo bound."
+                f"{self.memo_evictions} clean memo entrie(s) were "
+                f"LRU-evicted under the memo bound."
             )
             lines.append("")
         if self.states_checked:
@@ -482,11 +469,6 @@ class CoverageReport:
                 f"{check} `checker.memo.misses` ({self.memo_misses}) {mark}."
             )
             lines.append(
-                f"Canonical-key sentinel misses: "
-                f"{self.avoidable_misses} "
-                f"(`overlay_shape` + `noop_write_perturbation` — the memo "
-                f"keys on the byte-granular content address, so any "
-                f"nonzero count is a key-purity regression); "
                 f"{self.memo_noop_dropped} no-op overlay write(s) dropped "
                 f"before digesting."
             )

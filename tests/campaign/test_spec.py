@@ -33,6 +33,25 @@ class TestRoundTrip:
         data["future_knob"] = 42
         assert CampaignSpec.from_dict(data) == CampaignSpec(fs="nova")
 
+    def test_retired_memo_keys_still_load(self, tmp_path):
+        """Journals written while the campaign-wide check-memo service
+        existed carry its three spec keys; such a campaign still resumes."""
+        from repro.campaign import CampaignEngine, EngineConfig
+        from repro.campaign.journal import CheckpointJournal
+
+        spec = CampaignSpec(fs="nova", max_workloads=2)
+        old = dict(spec.to_dict(), shared_memo=True,
+                   memo_address="127.0.0.1:9009", memo_entries=262144)
+        assert CampaignSpec.from_dict(old) == spec
+        journal = CheckpointJournal(str(tmp_path))
+        journal.open()
+        journal.write_meta(old, n_items=2)
+        journal.close()
+        merged = CampaignEngine(
+            spec, str(tmp_path), EngineConfig(workers=1), resume=True
+        ).run()
+        assert merged.summary.workloads_tested == 2
+
 
 class TestBugConfig:
     def test_default_is_fs_bug_catalogue(self):

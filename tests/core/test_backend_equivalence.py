@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_delta_images import pm_logs, reverse_ranker
+from test_delta_images import OneContext, pm_logs, reverse_ranker
 
 from repro.core.checker import CheckMemo
 from repro.core.harness import Chipmunk
@@ -110,8 +110,8 @@ class TestStateStreamEquivalence:
         depend on which backend produced the image, or memoized campaigns
         would diverge between backends."""
         py, vec = _streams(log, cap=cap)
-        memo_py = CheckMemo(checker=None)
-        memo_np = CheckMemo(checker=None)
+        memo_py = CheckMemo(checker=OneContext())
+        memo_np = CheckMemo(checker=OneContext())
         for a, b in zip(py, vec):
             assert a.image.digest() == b.image.digest()
             assert memo_py.key_of(a) == memo_np.key_of(b)

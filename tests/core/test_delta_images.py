@@ -10,6 +10,7 @@ with and without a unit ranker.
 
 import hashlib
 import itertools
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from repro.core.replayer import (
     enumerate_crash_states,
 )
 from repro.fs.bugs import BugConfig
+from repro.obs.attribution import MISS_REASONS
 from repro.pm.device import PMDevice
 from repro.pm.image import (
     CHUNK,
@@ -35,6 +37,15 @@ from repro.pm.log import Fence, Flush, NTStore, PMLog, SyscallBegin, SyscallEnd
 from repro.workloads.ops import Op
 
 BASE = bytes(1024)
+
+
+class OneContext:
+    """Checker stand-in for memo keying: every state shares one oracle
+    context, so keys differ only by content and syscall context."""
+
+    @staticmethod
+    def context_digest(state):
+        return bytes(20)
 
 
 # ---------------------------------------------------------------------------
@@ -460,20 +471,23 @@ class TestCheckMemo:
         cm = Chipmunk("nova", bugs=BugConfig.fixed())
         base, log, _ = cm.record([Op("creat", ("/f",))])
         for state in enumerate_crash_states(base, log):
-            eager_key = (
+            eager_key = b"".join((
+                OneContext.context_digest(state),
                 hashlib.sha1(bytes(state.image)).digest(),
-                state.syscall,
-                state.mid_syscall,
-                state.after_syscall,
-            )
-            memo = CheckMemo(checker=None, delta=False)
+                struct.pack(
+                    ">iBi",
+                    -1 if state.syscall is None else state.syscall,
+                    1 if state.mid_syscall else 0,
+                    state.after_syscall,
+                ),
+            ))
+            memo = CheckMemo(checker=OneContext(), delta=False)
             assert memo.key_of(state) == eager_key
 
     def test_canonical_key_ignores_overlay_shape(self):
         """Two overlays that materialize the same bytes share a memo key
         regardless of how the writes are partitioned or how many residual
-        no-op bytes they carry — the former ``overlay_shape`` and
-        ``noop_write_perturbation`` misses are hits now."""
+        no-op bytes they carry."""
         from dataclasses import dataclass
 
         @dataclass(frozen=True)
@@ -484,7 +498,7 @@ class TestCheckMemo:
             after_syscall: int = -1
 
         base = FenceBase(bytes(range(256)) * 4)
-        memo = CheckMemo(checker=None)
+        memo = CheckMemo(checker=OneContext())
         one = CrashImage(base, ((0, b"\xff\xfe"),))
         split = CrashImage(base, ((0, b"\xff"), (1, b"\xfe")))
         noisy = CrashImage(base, ((0, b"\xff\xfe" + bytes(range(2, 4))),))
@@ -495,12 +509,11 @@ class TestCheckMemo:
         assert memo.key_of(S(one)) != memo.key_of(S(different))
 
     def test_no_sentinel_misses_live(self):
-        """A live memoized campaign records zero avoidable misses and no
-        colliding content keys: the memo keys on the canonical content
-        address, so both would be key-purity regressions."""
+        """A live memoized campaign records no colliding content keys (the
+        memo keys on the canonical content address, so one would be a
+        key-purity regression) and only the taxonomy's miss reasons."""
         result = self._run(True)
-        assert result.memo_miss_reasons.get("overlay_shape", 0) == 0
-        assert result.memo_miss_reasons.get("noop_write_perturbation", 0) == 0
+        assert set(result.memo_miss_reasons) <= set(MISS_REASONS)
         assert result.memo_collisions == []
 
 

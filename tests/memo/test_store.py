@@ -1,12 +1,11 @@
-"""MemoTable units: the LRU bound may only ever evict CLEAN entries.
+"""MemoTable units: an LRU-bounded table of clean check verdicts.
 
-Evicting a buggy key would make a later identical crash state re-publish
-its reports — the one way a bounded memo could change campaign output.
-The table therefore pins buggy verdicts forever (bounded in practice by
-the per-workload report cap) and LRU-rotates only the clean set.
+The table only ever holds keys whose check came back CLEAN — buggy keys
+live in each workload memo's own set (covered in ``test_worker_memo``) —
+so evicting an entry can cost a redundant re-check, never a report.
 """
 
-from repro.memo.store import BUGGY, CLEAN, MemoTable
+from repro.memo.store import MemoTable
 
 
 def k(i):
@@ -17,90 +16,60 @@ class TestVerdicts:
     def test_miss_then_hit(self):
         t = MemoTable()
         assert t.lookup(k(1)) is None
-        assert t.misses == 1
-        t.publish(k(1), CLEAN)
-        assert t.lookup(k(1)) == CLEAN
-        assert t.hits == 1
-
-    def test_buggy_round_trip(self):
-        t = MemoTable()
-        t.publish(k(1), BUGGY)
-        assert t.lookup(k(1)) == BUGGY
-
-    def test_buggy_overrides_clean(self):
-        """A key observed buggy is buggy forever, whatever arrived first."""
-        t = MemoTable()
-        t.publish(k(1), CLEAN)
-        t.publish(k(1), BUGGY)
-        assert t.lookup(k(1)) == BUGGY
-        # ... and a late CLEAN publish cannot downgrade it back.
-        t.publish(k(1), CLEAN)
-        assert t.lookup(k(1)) == BUGGY
+        t.publish(k(1), 7)
+        assert t.lookup(k(1)) == 7
 
     def test_idempotent_publish(self):
         t = MemoTable()
         for _ in range(3):
-            t.publish(k(1), CLEAN)
+            t.publish(k(1), 1)
         assert len(t) == 1
+
+    def test_republish_retags_without_eviction(self):
+        t = MemoTable(max_entries=1)
+        t.publish(k(1), 1)
+        assert t.publish(k(1), 2) == 0
+        assert t.lookup(k(1)) == 2
+        assert t.evictions == 0
 
 
 class TestEviction:
     def test_lru_evicts_oldest_clean(self):
         t = MemoTable(max_entries=2)
-        t.publish(k(1), CLEAN)
-        t.publish(k(2), CLEAN)
-        t.publish(k(3), CLEAN)
+        t.publish(k(1), 1)
+        t.publish(k(2), 1)
+        t.publish(k(3), 1)
         assert t.evictions == 1
         assert t.lookup(k(1)) is None  # oldest went
-        assert t.lookup(k(2)) == CLEAN
-        assert t.lookup(k(3)) == CLEAN
+        assert t.lookup(k(2)) == 1
+        assert t.lookup(k(3)) == 1
 
     def test_lookup_refreshes_recency(self):
         t = MemoTable(max_entries=2)
-        t.publish(k(1), CLEAN)
-        t.publish(k(2), CLEAN)
+        t.publish(k(1), 1)
+        t.publish(k(2), 1)
         t.lookup(k(1))  # k1 is now the most recently used
-        t.publish(k(3), CLEAN)
-        assert t.lookup(k(1)) == CLEAN
+        t.publish(k(3), 1)
+        assert t.lookup(k(1)) == 1
         assert t.lookup(k(2)) is None
 
-    def test_buggy_keys_never_evicted(self):
+    def test_publish_returns_evicted_count(self):
         t = MemoTable(max_entries=2)
-        t.publish(k(0), BUGGY)
-        for i in range(1, 10):
-            t.publish(k(i), CLEAN)
-        assert t.lookup(k(0)) == BUGGY
-        assert t.evictions == 7  # clean set stayed at the cap of 2
+        assert [t.publish(k(i), 1) for i in range(4)] == [0, 0, 1, 1]
+        assert t.evictions == 2
+        assert len(t) == 2
 
     def test_zero_cap_means_unbounded(self):
         t = MemoTable(max_entries=0)
         for i in range(100):
-            t.publish(k(i), CLEAN)
+            t.publish(k(i), 1)
         assert len(t) == 100
         assert t.evictions == 0
 
 
 class TestStats:
-    def test_stats_snapshot(self):
-        t = MemoTable(max_entries=2)
-        t.publish(k(1), CLEAN)
-        t.publish(k(2), BUGGY)
-        t.publish(k(3), CLEAN)
-        t.publish(k(4), CLEAN)
-        t.lookup(k(2))
-        t.lookup(k(99))
-        s = t.stats()
-        assert s["entries"] == len(t)
-        assert s["buggy"] == 1
-        assert s["hits"] == 1
-        assert s["misses"] == 1
-        assert s["evictions"] == 1
-        assert s["publishes"] == 4
-
     def test_contains(self):
         t = MemoTable()
-        t.publish(k(1), CLEAN)
-        t.publish(k(2), BUGGY)
+        t.publish(k(1), 1)
         assert k(1) in t
-        assert k(2) in t
         assert k(3) not in t

@@ -7,11 +7,7 @@ from repro.core.harness import Chipmunk, ChipmunkConfig
 from repro.core.oracle import run_oracle
 from repro.core.replayer import enumerate_crash_states
 from repro.fs.bugs import BugConfig
-from repro.obs.attribution import (
-    AVOIDABLE_REASONS,
-    MISS_REASONS,
-    MemoAttribution,
-)
+from repro.obs.attribution import MISS_REASONS, MemoAttribution
 from repro.pm.image import CrashImage, FenceBase
 from repro.workloads.ops import Op
 
@@ -41,25 +37,6 @@ class TestReasonClasses:
         assert _classify(attr, CrashImage(base, ())) == "cold_base"
         other = FenceBase(bytes([1]) * 64)
         assert _classify(attr, CrashImage(other, ())) == "cold_base"
-
-    def test_overlay_shape_same_bytes_different_ranges(self):
-        attr = MemoAttribution()
-        base = FenceBase(bytes(64))
-        _classify(attr, CrashImage(base, ((0, b"ab"),)), syscall=1)
-        reason = _classify(
-            attr, CrashImage(base, ((0, b"a"), (1, b"b"))), syscall=1
-        )
-        assert reason == "overlay_shape"
-
-    def test_noop_write_perturbation_needs_residual_noop_bytes(self):
-        attr = MemoAttribution()
-        base = FenceBase(bytes(range(16)) * 4)
-        _classify(attr, CrashImage(base, ((0, b"\xff\xfe"),)), syscall=1)
-        # Same content, but one write carries bytes equal to base *inside*
-        # an otherwise-effective write — whole-write dropping cannot remove
-        # them, so the shape differs and the residual bytes are > 0.
-        noisy = CrashImage(base, ((0, b"\xff\xfe" + bytes(range(2, 4))),))
-        assert _classify(attr, noisy, syscall=1) == "noop_write_perturbation"
 
     def test_syscall_context_same_content_other_context(self):
         attr = MemoAttribution()
@@ -94,7 +71,26 @@ class TestReasonClasses:
         ):
             assert _classify(attr, img, syscall=1) in MISS_REASONS
         assert set(attr.reasons) <= set(MISS_REASONS)
-        assert set(AVOIDABLE_REASONS) <= set(MISS_REASONS)
+
+    def test_recheck_after_eviction_is_new_content(self):
+        """The same content under the same context misses again only when
+        the memo's LRU bound evicted its clean entry."""
+        attr = MemoAttribution()
+        img = CrashImage(FenceBase(bytes(64)), ((0, b"x"),))
+        _classify(attr, img, syscall=1)
+        assert _classify(attr, img, syscall=1) == "new_content"
+
+    def test_cross_workload_hit_seeds_the_universe(self):
+        """A state skipped on an earlier workload's verdict counts no
+        reason, but its base and context are seen from then on."""
+        attr = MemoAttribution()
+        base = FenceBase(bytes(64))
+        img = CrashImage(base, ((0, b"x"),))
+        attr.note_cross_workload_hit(FakeState(img, syscall=1))
+        assert attr.total == 0
+        assert _classify(attr, CrashImage(base, ((0, b"y"),)), syscall=1) \
+            == "new_content"
+        assert _classify(attr, img, syscall=2) == "syscall_context"
 
 
 class TestSumInvariant:
@@ -126,15 +122,6 @@ class TestSumInvariant:
         assert set(result.memo_miss_reasons) <= set(MISS_REASONS)
         assert result.n_unique_outcomes > 0
         assert result.n_unique_outcomes <= result.n_unique_states
-
-    def test_avoidable_counts_only_canonicalization_headroom(self):
-        attr = MemoAttribution()
-        base = FenceBase(bytes(64))
-        _classify(attr, CrashImage(base, ((0, b"ab"),)), syscall=1)
-        _classify(attr, CrashImage(base, ((0, b"a"), (1, b"b"))), syscall=1)
-        _classify(attr, CrashImage(base, ((9, b"q"),)), syscall=1)
-        assert attr.avoidable == 1
-        assert attr.total == 3
 
 
 class TestCollisionTable:
