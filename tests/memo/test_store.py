@@ -5,7 +5,12 @@ live in each workload memo's own set (covered in ``test_worker_memo``) —
 so evicting an entry can cost a redundant re-check, never a report.
 """
 
+from repro.core.checker import CheckMemo, ConsistencyChecker
+from repro.core.harness import Chipmunk
+from repro.core.oracle import run_oracle
+from repro.core.replayer import enumerate_crash_states
 from repro.memo.store import MemoTable
+from repro.workloads.ops import Op
 
 
 def k(i):
@@ -18,6 +23,29 @@ class TestVerdicts:
         assert t.lookup(k(1)) is None
         t.publish(k(1), 7)
         assert t.lookup(k(1)) == 7
+
+    def test_buggy_round_trip(self):
+        """A buggy verdict round-trips through the workload memo, never the
+        table: the state's second sighting is a hit, and its key is absent
+        from the table."""
+        workload = [Op("mkdir", ("/A",)), Op("creat", ("/A/f",))]
+        cm = Chipmunk("nova")  # default bug config: some states are buggy
+        oracle = run_oracle(
+            cm.fs_class, workload, cm.config.device_size, bugs=cm.bugs
+        )
+        table = MemoTable()
+        memo = CheckMemo(
+            ConsistencyChecker(cm.fs_class, oracle, "w", bugs=cm.bugs),
+            table=table,
+        )
+        base, log, _ = cm.record(workload)
+        buggy = next(
+            s for s in enumerate_crash_states(base, log) if memo.check(s)
+        )
+        hits = memo.hits
+        assert memo.check(buggy) is None
+        assert memo.hits == hits + 1
+        assert memo.key_of(buggy) not in table
 
     def test_idempotent_publish(self):
         t = MemoTable()
