@@ -23,6 +23,25 @@ runs again.
 rather than a bare index: the merge stage rebuilds the campaign's entire
 bug set from the journal alone, which is what makes a resumed campaign's
 report equal an uninterrupted one without re-executing finished work.
+
+Inside a result, the workload's provenance lineage is stored once::
+
+    {"workload_desc": ..., "reports": [
+        {..., "provenance": {"table": 0, "log_pos": 41,
+                             "replayed_entries": [1], "fence_index": 6,
+                             "mid_syscall": true, "syscall": 1,
+                             "syscall_name": "creat", "after_syscall": 0,
+                             "state_kind": "subset"}}, ...],
+     "provenance_tables": [{"context": {"fs_name": "nova",
+                                        "workload": [...], ...},
+                            "entries": [<ProvEntry.to_dict()>, ...]}],
+     ...}
+
+Each report keeps its crash identity plus an index into
+``provenance_tables``; results without provenance omit the key.  Records
+whose reports carry the full inline provenance (``"entries"`` and the
+context in every report) replay and merge too — see
+:meth:`~repro.core.harness.TestResult.from_dict`.
 """
 
 from __future__ import annotations

@@ -24,6 +24,11 @@ from repro.core.replayer import (
 )
 from repro.core.report import BugReport
 from repro.core.triage import Cluster, layout_map_for, triage_reports
+from repro.forensics.provenance import (
+    ProvenanceRecorder,
+    ProvenanceTables,
+    decode_tables,
+)
 from repro.fs.bugs import BugConfig
 from repro.fs.registry import fs_class as lookup_fs_class
 from repro.memo.store import MemoTable
@@ -113,7 +118,6 @@ class TestResult:
 
     workload_desc: str
     reports: List[BugReport]
-    clusters: List[Cluster]
     n_crash_states: int
     n_unique_states: int
     n_fences: int
@@ -172,6 +176,24 @@ class TestResult:
     #: Crash-image backend the workload actually ran under ("python" |
     #: "numpy") — the resolved value, not the configured one.
     image_backend: str = "python"
+    #: Backing store of :attr:`clusters`; ``None`` until first read.
+    _clusters: Optional[List[Cluster]] = field(
+        default=None, repr=False, compare=False
+    )
+
+    @property
+    def clusters(self) -> List[Cluster]:
+        """Triage clusters of :attr:`reports`.  The harness sets them from
+        its triage stage; a result rebuilt by :meth:`from_dict` triages on
+        first read, since campaign merges re-cluster across workloads and
+        never read per-result clusters."""
+        if self._clusters is None:
+            self._clusters = triage_reports(self.reports)
+        return self._clusters
+
+    @clusters.setter
+    def clusters(self, value: List[Cluster]) -> None:
+        self._clusters = value
 
     @property
     def buggy(self) -> bool:
@@ -204,13 +226,19 @@ class TestResult:
     # dicts, and the checkpoint journal persists them across kills; the
     # merge stage rebuilds real ``TestResult`` objects so every existing
     # aggregator (``CampaignSummary``, ``CampaignStats``) works unchanged.
-    # Clusters are not serialized — they are a pure function of the reports
-    # and are re-derived on load, which keeps the journal compact.
+    # Every report of the workload shares one provenance lineage table and
+    # repro context: ``provenance_tables`` stores them once and each
+    # report's provenance keeps its crash identity plus a table index
+    # (:class:`~repro.forensics.provenance.ProvenanceTables`).  Reports
+    # with inline provenance (results written before the tables existed)
+    # load too.  Clusters are not serialized — they are a pure function of
+    # the reports, re-derived on first read of :attr:`clusters`.
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
-        return {
+        tables = ProvenanceTables()
+        out = {
             "workload_desc": self.workload_desc,
-            "reports": [r.to_dict() for r in self.reports],
+            "reports": [r.to_dict(tables) for r in self.reports],
             "n_crash_states": self.n_crash_states,
             "n_unique_states": self.n_unique_states,
             "n_fences": self.n_fences,
@@ -237,14 +265,18 @@ class TestResult:
             "profile": dict(self.profile),
             "image_backend": self.image_backend,
         }
+        if tables:
+            out["provenance_tables"] = tables.to_list()
+        return out
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "TestResult":
-        reports = [BugReport.from_dict(r) for r in data.get("reports", [])]
+        tables = decode_tables(data.get("provenance_tables", ()))
         return cls(
             workload_desc=str(data["workload_desc"]),
-            reports=reports,
-            clusters=triage_reports(reports),
+            reports=[
+                BugReport.from_dict(r, tables) for r in data.get("reports", [])
+            ],
             n_crash_states=int(data.get("n_crash_states", 0)),
             n_unique_states=int(data.get("n_unique_states", 0)),
             n_fences=int(data.get("n_fences", 0)),
@@ -417,8 +449,6 @@ class Chipmunk:
         )
         recorder = None
         if self.config.forensics:
-            from repro.forensics.provenance import ProvenanceRecorder
-
             recorder = ProvenanceRecorder(
                 log,
                 fs_name=self.fs_class.name,
@@ -550,7 +580,6 @@ class Chipmunk:
         result = TestResult(
             workload_desc=desc,
             reports=reports,
-            clusters=clusters,
             n_crash_states=n_states,
             n_unique_states=memo.checked,
             n_fences=stats.n_fences,
@@ -579,6 +608,7 @@ class Chipmunk:
             profile=prof_dict,
             image_backend=image_backend,
         )
+        result.clusters = clusters
         if tel.enabled:
             self._emit_result(tel, result)
         return result

@@ -10,9 +10,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.forensics.provenance import CrashProvenance
+from repro.forensics.provenance import (
+    CrashProvenance,
+    ProvenanceTables,
+    SharedTable,
+)
 
 
 class Consequence(enum.Enum):
@@ -72,8 +76,13 @@ class BugReport:
     # ------------------------------------------------------------------
     # JSON round-trip — campaign workers ship reports across process
     # boundaries and the checkpoint journal persists them between runs.
+    # Standalone, the provenance is inline; inside a serialized test
+    # result, ``tables`` hoists the workload's shared lineage out of it.
     # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
+    def to_dict(
+        self, tables: Optional[ProvenanceTables] = None
+    ) -> Dict[str, object]:
+        prov = self.provenance
         return {
             "fs_name": self.fs_name,
             "consequence": self.consequence.name,
@@ -86,12 +95,16 @@ class BugReport:
             "n_replayed": self.n_replayed,
             "paths": list(self.paths),
             "provenance": (
-                self.provenance.to_dict() if self.provenance is not None else None
+                None if prov is None
+                else prov.to_dict() if tables is None
+                else tables.encode(prov)
             ),
         }
 
     @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "BugReport":
+    def from_dict(
+        cls, data: Dict[str, object], tables: Sequence[SharedTable] = (),
+    ) -> "BugReport":
         return cls(
             fs_name=str(data["fs_name"]),
             consequence=Consequence[str(data["consequence"])],
@@ -104,7 +117,7 @@ class BugReport:
             n_replayed=int(data.get("n_replayed", 0)),
             paths=tuple(data.get("paths", ())),
             provenance=(
-                CrashProvenance.from_dict(data["provenance"])
+                CrashProvenance.from_dict(data["provenance"], tables)
                 if data.get("provenance") is not None
                 else None
             ),
