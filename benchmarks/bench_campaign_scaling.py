@@ -21,6 +21,7 @@ from conftest import print_table, run_once
 
 from repro.analysis.reporting import CampaignSummary
 from repro.campaign import CampaignEngine, CampaignSpec, EngineConfig
+from repro.core.harness import ChipmunkConfig
 from repro.workloads import ace
 
 #: ACE workloads per sequence length (seq 1..2): 55 + 120 = 175 workloads,
@@ -174,7 +175,8 @@ def test_bench_worker_memo(benchmark, tmp_path):
     workloads (shared multi-op prefixes produce byte-identical crash
     states under identical oracle expectations) is skipped too.  This
     bench runs the same seq-1..2 slice with the memo off and on, prints
-    hit-rate and states/sec, and gates on byte-equal ``bugs.json``, a
+    hit-rate, read-set hits, checks per state (checker runs per crash
+    state) and states/sec, and gates on byte-equal ``bugs.json``, a
     states/sec gain, and a memo-on hit-rate of at least 40% on the
     redundancy-bearing seq-2 tranche.
 
@@ -214,6 +216,12 @@ def test_bench_worker_memo(benchmark, tmp_path):
     def states_per_sec(merged, wall):
         return merged.summary.crash_states / wall if wall > 0 else 0.0
 
+    def checks_per_state(merged):
+        # States the checker actually ran on; read-set hits replay an
+        # earlier check's verdict instead.
+        s = merged.summary
+        return s.memo_misses / s.crash_states if s.crash_states else 0.0
+
     off_seq2 = _tranche_hit_rates(off_dir).get("2", 0.0)
     on_seq2 = _tranche_hit_rates(on_dir).get("2", 0.0)
 
@@ -227,13 +235,16 @@ def test_bench_worker_memo(benchmark, tmp_path):
             f"{wall:.2f}",
             f"{overall_rate(merged) * 100:.1f}%",
             f"{seq2 * 100:.1f}%",
+            str(merged.summary.memo_readset_hits),
+            f"{checks_per_state(merged):.3f}",
             f"{states_per_sec(merged, wall):.0f}",
         ))
     print_table(
         f"Worker-lifetime check memo: nova seq-1..2 slice, "
         f"{on.summary.workloads_tested} workloads, "
         f"{workers} workers ({cpus} CPU(s))",
-        ("memo", "wall (s)", "hit-rate", "seq-2 rate", "states/s"),
+        ("memo", "wall (s)", "hit-rate", "seq-2 rate", "read-set hits",
+         "checks/state", "states/s"),
         rows,
     )
 
@@ -251,9 +262,13 @@ def test_bench_worker_memo(benchmark, tmp_path):
             "on_seq2_hit_rate": on_seq2,
             "off_states_per_sec": states_per_sec(off, off_wall),
             "on_states_per_sec": states_per_sec(on, on_wall),
+            "on_readset_hits": on.summary.memo_readset_hits,
+            "off_checks_per_state": checks_per_state(off),
+            "on_checks_per_state": checks_per_state(on),
         },
         config={"cpus": cpus, "max_workloads": MEMO_MAX_WORKLOADS,
-                "workers": workers},
+                "workers": workers,
+                "device_size": ChipmunkConfig().device_size},
     )
 
     # Correctness first: the memo must not change the bug set.

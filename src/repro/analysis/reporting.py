@@ -29,6 +29,8 @@ class CampaignSummary:
     #: Check-memoization counters (``checker.memo.*``) summed over workloads.
     memo_hits: int = 0
     memo_misses: int = 0
+    #: Hits the read-set verdict table answered (also in ``memo_hits``).
+    memo_readset_hits: int = 0
     memo_noop_dropped: int = 0
     #: Clean-entry LRU evictions from the memo tables.
     memo_evictions: int = 0
@@ -61,6 +63,7 @@ class CampaignSummary:
         self.wall_time += result.elapsed
         self.memo_hits += getattr(result, "memo_hits", 0)
         self.memo_misses += getattr(result, "memo_misses", 0)
+        self.memo_readset_hits += getattr(result, "memo_readset_hits", 0)
         self.memo_noop_dropped += getattr(result, "memo_noop_dropped", 0)
         self.memo_evictions += getattr(result, "memo_evictions", 0)
         for reason, n in getattr(result, "memo_miss_reasons", {}).items():
@@ -125,10 +128,15 @@ def _telemetry_section(summary: CampaignSummary) -> List[str]:
             f"; {summary.memo_evictions} clean eviction(s)"
             if summary.memo_evictions else ""
         )
+        readset = (
+            f", {summary.memo_readset_hits} by read set"
+            if summary.memo_readset_hits else ""
+        )
         lines.append(
             f"- **check memo hit-rate:** "
             f"{summary.memo_hits / memo_total * 100:.1f}% "
-            f"({summary.memo_hits} hit(s), {summary.memo_misses} miss(es); "
+            f"({summary.memo_hits} hit(s){readset}, "
+            f"{summary.memo_misses} miss(es); "
             f"`checker.memo.*`{evict}{noop})"
         )
     if summary.memo_miss_reasons:
@@ -143,7 +151,7 @@ def _telemetry_section(summary: CampaignSummary) -> List[str]:
         headroom = 1.0 - summary.unique_outcomes / summary.unique_states
         lines.append(
             f"- **recovered outcomes:** {summary.unique_outcomes} distinct of "
-            f"{summary.unique_states} checked "
+            f"{summary.unique_states} judged "
             f"({headroom * 100:.1f}% output-equivalence pruning headroom)"
         )
     if summary.mech_recognized:
@@ -284,7 +292,10 @@ def render_markdown(
     lines.append(f"- **workloads tested:** {summary.workloads_tested}")
     lines.append(
         f"- **crash states:** {summary.crash_states} generated, "
-        f"{summary.unique_states} unique checked"
+        f"{summary.unique_states} unique "
+        + (f"({summary.memo_misses} checked, {summary.memo_readset_hits} "
+           f"replayed by read set)"
+           if summary.memo_readset_hits else "checked")
     )
     lines.append(f"- **wall time:** {summary.wall_time:.1f}s")
     if summary.truncated_workloads:

@@ -109,8 +109,8 @@ class Snapshot:
         """Sum the exploration counters out of the journaled results."""
         totals: Dict[str, object] = {
             "crash_states": 0, "checked": 0, "memo_hits": 0,
-            "memo_misses": 0, "reports": 0, "mech_plans": 0,
-            "mech_fallbacks": 0,
+            "memo_misses": 0, "readset_hits": 0, "reports": 0,
+            "mech_plans": 0, "mech_fallbacks": 0,
         }
         profile_bytes: Dict[str, int] = {}
         for results in self.state.results.values():
@@ -119,6 +119,9 @@ class Snapshot:
                 totals["checked"] += int(fields.get("n_unique_states", 0))
                 totals["memo_hits"] += int(fields.get("memo_hits", 0))
                 totals["memo_misses"] += int(fields.get("memo_misses", 0))
+                totals["readset_hits"] += int(
+                    fields.get("memo_readset_hits", 0)
+                )
                 totals["reports"] += len(list(fields.get("reports", [])))
                 totals["mech_plans"] += int(
                     fields.get("mech_plans_emitted", 0)
@@ -213,6 +216,8 @@ class CampaignMonitor:
             f"{totals['memo_hits'] / memo_total * 100:.0f}%"
             if memo_total else "--"
         )
+        if totals["readset_hits"]:
+            memo += f" ({totals['readset_hits']} by read set)"
         lines.append(
             f"crash states {totals['crash_states']}   "
             f"checked {totals['checked']}   "

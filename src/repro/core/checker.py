@@ -12,24 +12,29 @@ For every crash state the checker:
 4. runs a usability pass: create a probe file in every directory, then
    delete every regular file.
 
-Each crash state is checked on its own copy of the image, so checker
-mutations never leak between states (the paper rolls back with an undo log;
-copies are the in-process equivalent).
+Each crash state is checked on a copy-on-write view of its fence region's
+shared device (:meth:`~repro.pm.device.PMDevice.cow_view`): the view
+overlays the state's writes and arms an undo log that rolls back both the
+overlay and every checker mutation on exit, so checker mutations never leak
+between states — the paper's own undo-log strategy.  Hand-built flat
+images are checked on a fresh device copy instead.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.oracle import OracleResult, TreeState
 from repro.obs import profile as _profile
 from repro.core.replayer import CrashState
 from repro.core.report import BugReport, Consequence, diff_trees
 from repro.fs.common.alloc import AllocatorError
+from repro.memo.readset import ReadSetTable, Verdict
 from repro.memo.store import MemoTable
 from repro.obs.attribution import MemoAttribution
 from repro.obs.metrics import CacheCounters
@@ -88,9 +93,12 @@ class ConsistencyChecker:
         #: two crash states recovering to the same tree under the same
         #: oracle can only ever yield the same verdict.
         self.outcome_digests: set = set()
+        #: Digest of the most recent check's outcome (see :meth:`verdict`).
+        self.last_outcome = b""
         # Oracle-context digests cached per (syscall, mid, after) — the
         # expectations part of the check-memo key (see context_digest).
         self._ctx_digests: Dict[Tuple, bytes] = {}
+        self._verdict_ctx: Dict[Tuple, bytes] = {}
 
     # ------------------------------------------------------------------
     # Oracle-context digest (check-memo key component)
@@ -147,14 +155,55 @@ class ConsistencyChecker:
         return digest
 
     # ------------------------------------------------------------------
-    def check(self, state: CrashState) -> List[BugReport]:
+    def verdict_context(self, state: CrashState) -> bytes:
+        """Key of everything besides the bytes read that a verdict's
+        *text* depends on — the read-set memo's context.
+
+        :meth:`context_digest` decides whether two states pass or fail
+        alike, but buggy verdicts are replayed with their report text, and
+        that quotes the syscall context (``state after syscall #i``) and,
+        mid-syscall, the operation's arguments — the digest only hashes the
+        op name.  The device size pins the geometry recovery derives.
+        """
+        context = (state.syscall, state.mid_syscall, state.after_syscall)
+        cached = self._verdict_ctx.get(context)
+        if cached is not None:
+            return cached
+        parts = [
+            self.context_digest(state),
+            struct.pack(
+                ">iBiQ",
+                state.syscall if state.syscall is not None else -1,
+                1 if state.mid_syscall else 0,
+                state.after_syscall,
+                len(state.image),
+            ),
+        ]
+        if state.mid_syscall and state.syscall is not None:
+            parts.append(self.oracle.workload[state.syscall].describe().encode())
+        key = b"".join(parts)
+        self._verdict_ctx[context] = key
+        return key
+
+    # ------------------------------------------------------------------
+    def check(self, state: CrashState, device: Optional[PMDevice] = None
+              ) -> List[BugReport]:
         """Return every violation found in one crash state.
 
-        When telemetry is attached, the per-state outcome breakdown is
-        counted under ``checker.outcome.*`` (``clean`` for a state with no
-        findings).
+        ``device`` is the state's already-open :meth:`view`; without one
+        the check opens (and closes) its own.  When telemetry is attached,
+        the per-state outcome breakdown is counted under
+        ``checker.outcome.*`` (``clean`` for a state with no findings).
         """
-        reports = self._check(state)
+        if device is None:
+            with self.view(state) as device:
+                reports = self._check_device(state, device)
+        else:
+            reports = self._check_device(state, device)
+        self._count(reports)
+        return reports
+
+    def _count(self, reports: List[BugReport]) -> None:
         tel = self.telemetry
         if tel is not None:
             tel.count("checker.states_checked")
@@ -163,9 +212,30 @@ class ConsistencyChecker:
             else:
                 for report in reports:
                     tel.count("checker.outcome." + report.consequence.name.lower())
+
+    def verdict(self, reports: List[BugReport]) -> Verdict:
+        """The state-independent part of the last check's outcome."""
+        return Verdict(
+            tuple((r.consequence, r.detail, r.paths) for r in reports),
+            self.last_outcome,
+        )
+
+    def replay(self, state: CrashState, verdict: Verdict) -> List[BugReport]:
+        """Rebuild a stored verdict's reports for ``state``, as a check of
+        it would build them (crash description, replay count and
+        provenance come from ``state``).  Telemetry counts it under
+        ``checker.states_checked`` and ``checker.outcome.*`` like a check."""
+        self.outcome_digests.add(verdict.outcome)
+        reports = [
+            self._report(state, consequence, detail, paths=paths)
+            for consequence, detail, paths in verdict.reports
+        ]
+        self._count(reports)
         return reports
 
-    def _check(self, state: CrashState) -> List[BugReport]:
+    @contextmanager
+    def view(self, state: CrashState) -> Iterator[PMDevice]:
+        """The device a state is checked on, for the ``with`` block."""
         image = state.image
         if isinstance(image, CrashImage):
             # Delta path: mount the fence region's shared device through a
@@ -208,11 +278,11 @@ class ConsistencyChecker:
                     )
                 writes = image.writes
             with self._mount_device.cow_view(writes) as device:
-                return self._check_device(state, device)
+                yield device
+            return
         # Legacy eager path for flat images (hand-built states, the
         # delta-vs-eager benchmark baseline): fresh device copy per state.
-        device = PMDevice.from_snapshot(image, telemetry=self.telemetry)
-        return self._check_device(state, device)
+        yield PMDevice.from_snapshot(image, telemetry=self.telemetry)
 
     def _check_device(self, state: CrashState, device: PMDevice) -> List[BugReport]:
         prof = _profile.ACTIVE
@@ -264,16 +334,28 @@ class ConsistencyChecker:
     # Recovered-outcome tracking (equivalence-pruning headroom)
     # ------------------------------------------------------------------
     def _note_outcome(self, material: bytes) -> None:
-        self.outcome_digests.add(hashlib.sha1(material).digest())
+        self.last_outcome = hashlib.sha1(material).digest()
+        self.outcome_digests.add(self.last_outcome)
 
     @staticmethod
     def _tree_digest(crash_tree: TreeState) -> bytes:
-        """Stable digest of the recovered observable tree."""
+        """Stable digest of the recovered observable tree.
+
+        Covers every field tree equality compares — the whole content,
+        not the 32-byte preview an observation's ``repr`` shows: two
+        expected trees that differ past that preview must not share a
+        context digest, or a verdict would carry over between them.
+        """
         h = hashlib.sha1()
         for path in sorted(crash_tree):
+            obs = crash_tree[path]
+            content = obs.content if obs.content is not None else b""
             h.update(path.encode())
             h.update(b"\x00")
-            h.update(repr(crash_tree[path]).encode())
+            h.update(repr((obs.ftype.name, obs.size, obs.nlink, obs.mode,
+                           obs.content is None, len(content),
+                           obs.entries)).encode())
+            h.update(content)
             h.update(b"\x01")
         return b"<tree>" + h.digest()
 
@@ -521,8 +603,21 @@ class CheckMemo:
     memo-off run does.  Keeping buggy keys out of the LRU also means none
     is ever evicted and re-reported within a workload.
 
-    :meth:`check` returns ``None`` on a memo hit and the checker's report
-    list on a miss.
+    **Read-set verdicts.**  Given a worker-lifetime
+    :class:`~repro.memo.readset.ReadSetTable` (``readsets=``), a content
+    miss opens the state's :meth:`~ConsistencyChecker.view` and first
+    looks the state up by the crash bytes earlier checks *read*: a state
+    that matches an earlier check on every byte it read gets that check's
+    verdict, buggy or clean, rebuilt for this state by
+    :meth:`~ConsistencyChecker.replay` — the report list is the one a
+    check would have produced.  Otherwise the checker runs on the same
+    view with the device access trace on, and its verdict is recorded
+    under the pristine bytes it read.  A read-set hit counts as a hit (in
+    :attr:`hits` and :attr:`readset_hits`), not a miss.
+
+    :meth:`check` returns ``None`` when the state's byte-identical twin was
+    already judged (its reports, if any, are in the caller's hands) and
+    the state's report list otherwise — checked or replayed.
 
     Every miss is classified by a :class:`~repro.obs.attribution.MemoAttribution`
     (cold base / syscall context / new content — the reason counts sum
@@ -532,14 +627,17 @@ class CheckMemo:
     writes dropped as whole-write no-ops are tallied in
     :attr:`noop_writes_dropped`.  With telemetry attached these surface as
     registry counters: ``checker.memo.miss.{reason}``,
-    ``checker.memo.noop_writes_dropped`` and ``checker.memo.evictions``.
+    ``checker.memo.readset_hits``, ``checker.memo.noop_writes_dropped``
+    and ``checker.memo.evictions``.
     """
 
     def __init__(self, checker: ConsistencyChecker, telemetry=None,
                  delta: bool = True,
-                 table: Optional[MemoTable] = None) -> None:
+                 table: Optional[MemoTable] = None,
+                 readsets: Optional[ReadSetTable] = None) -> None:
         self.checker = checker
         self.delta = delta
+        self._readsets = readsets
         self._tel = telemetry if telemetry is not None and telemetry.enabled else None
         #: Per-memo hit/miss counts (one memo per workload).
         self.hits = 0
@@ -547,6 +645,9 @@ class CheckMemo:
         #: Hits on clean entries an earlier workload recorded (also
         #: counted in :attr:`hits`).
         self.cross_hits = 0
+        #: Hits answered by the read-set table (also counted in
+        #: :attr:`hits`).
+        self.readset_hits = 0
         #: Clean entries this memo's publishes pushed out of the table.
         self.evictions = 0
         #: Overlay writes dropped before digesting because they were
@@ -595,9 +696,10 @@ class CheckMemo:
         return key
 
     @property
-    def checked(self) -> int:
-        """States actually checked — the campaign's "unique states"."""
-        return self.misses
+    def unique(self) -> int:
+        """Distinct states judged, by a check (:attr:`misses`) or a
+        read-set replay — the campaign's "unique states"."""
+        return self.misses + self.readset_hits
 
     def _hit(self) -> None:
         self.hits += 1
@@ -633,21 +735,10 @@ class CheckMemo:
                 self.attribution.note_cross_workload_hit(state, ckey=ckey)
             self._hit()
             return None
-        self.misses += 1
-        reason = self.attribution.classify_miss(state, content, ckey=ckey)
-        if self._counters is not None:
-            self._counters.miss()
-        if self._tel is not None:
-            self._tel.count("checker.memo.miss." + reason)
-            with self._tel.span(
-                "check_state",
-                fence=state.fence_index,
-                syscall=state.syscall_name or "",
-                n_replayed=state.n_replayed,
-            ):
-                reports = self.checker.check(state)
+        if self._readsets is None:
+            reports = self._check_miss(state, content, ckey, None)
         else:
-            reports = self.checker.check(state)
+            reports = self._check_readsets(state, content, ckey)
         if reports:
             self._buggy.add(key)
             return reports
@@ -657,3 +748,45 @@ class CheckMemo:
             if self._tel is not None:
                 self._tel.count("checker.memo.evictions", evicted)
         return reports
+
+    def _check_readsets(self, state: CrashState, content: bytes,
+                        ckey: Optional[bytes]) -> List[BugReport]:
+        """Replay a read-set verdict, else check and record one."""
+        checker = self.checker
+        context = checker.verdict_context(state)
+        with checker.view(state) as device:
+            verdict = self._readsets.lookup(context, device.image)
+            if verdict is not None:
+                self.readset_hits += 1
+                self.attribution.note_cross_workload_hit(state, ckey=ckey)
+                self._hit()
+                if self._tel is not None:
+                    self._tel.count("checker.memo.readset_hits")
+                return checker.replay(state, verdict)
+            device.trace = []
+            try:
+                reports = self._check_miss(state, content, ckey, device)
+                self._readsets.record(
+                    context, device.trace, device.size, checker.verdict(reports)
+                )
+            finally:
+                device.trace = None
+        return reports
+
+    def _check_miss(self, state: CrashState, content: bytes,
+                    ckey: Optional[bytes],
+                    device: Optional[PMDevice]) -> List[BugReport]:
+        self.misses += 1
+        reason = self.attribution.classify_miss(state, content, ckey=ckey)
+        if self._counters is not None:
+            self._counters.miss()
+        if self._tel is None:
+            return self.checker.check(state, device)
+        self._tel.count("checker.memo.miss." + reason)
+        with self._tel.span(
+            "check_state",
+            fence=state.fence_index,
+            syscall=state.syscall_name or "",
+            n_replayed=state.n_replayed,
+        ):
+            return self.checker.check(state, device)

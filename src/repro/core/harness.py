@@ -31,6 +31,7 @@ from repro.forensics.provenance import (
 )
 from repro.fs.bugs import BugConfig
 from repro.fs.registry import fs_class as lookup_fs_class
+from repro.memo.readset import ReadSetTable
 from repro.memo.store import MemoTable
 from repro.obs import NULL
 from repro.obs import profile as _profile
@@ -63,9 +64,12 @@ class ChipmunkConfig:
     forensics: bool = True
     #: Content-addressed check memoization: key crash states by their
     #: O(overlay) delta digest instead of hashing the materialized image
-    #: (:class:`repro.core.checker.CheckMemo`), and keep clean verdicts
-    #: across workloads.  ``False`` falls back to eager whole-image sha1
-    #: dedup within each workload — same reports, eager cost.
+    #: (:class:`repro.core.checker.CheckMemo`), keep clean verdicts across
+    #: workloads, and (under ``fence`` crash points) replay verdicts by the
+    #: crash bytes a check read.  ``False`` falls back to eager whole-image
+    #: sha1 dedup within each workload: the same ``bugs.json`` on ACE
+    #: workloads, but the report lists can differ — on fuzz programs even
+    #: the cluster exemplars can (``perfbench/README.md``).
     memoize: bool = True
     #: Crash-plan selection: ``"subset"`` enumerates capped store subsets
     #: per fence epoch (the paper's strategy); ``"mech"`` recognizes the
@@ -136,6 +140,9 @@ class TestResult:
     #: because a byte-identical image was already checked / states checked.
     memo_hits: int = 0
     memo_misses: int = 0
+    #: Memo hits answered by the read-set verdict table
+    #: (``checker.memo.readset_hits``; also counted in :attr:`memo_hits`).
+    memo_readset_hits: int = 0
     #: Memo-miss attribution: reason -> count (``checker.memo.miss.*``).
     #: Values sum exactly to :attr:`memo_misses`.
     memo_miss_reasons: Dict[str, int] = field(default_factory=dict)
@@ -250,6 +257,7 @@ class TestResult:
             "truncated": self.truncated,
             "memo_hits": self.memo_hits,
             "memo_misses": self.memo_misses,
+            "memo_readset_hits": self.memo_readset_hits,
             "memo_miss_reasons": dict(self.memo_miss_reasons),
             "memo_collisions": [list(c) for c in self.memo_collisions],
             "memo_noop_dropped": self.memo_noop_dropped,
@@ -294,6 +302,7 @@ class TestResult:
             truncated=bool(data.get("truncated", False)),
             memo_hits=int(data.get("memo_hits", 0)),
             memo_misses=int(data.get("memo_misses", 0)),
+            memo_readset_hits=int(data.get("memo_readset_hits", 0)),
             memo_miss_reasons={
                 str(k): int(v)
                 for k, v in dict(data.get("memo_miss_reasons", {})).items()
@@ -349,6 +358,9 @@ class Chipmunk:
         #: memoized workload's :class:`CheckMemo` skips states an earlier
         #: workload already checked clean under the same expectations.
         self.memo_table = MemoTable()
+        #: Verdicts by the crash bytes a check read, for the same lifetime
+        #: (memoized ``fence`` crash-point workloads only).
+        self.readset_table = ReadSetTable()
 
     # ------------------------------------------------------------------
     def record(self, workload: Workload, setup: Workload = (), coverage=None) -> tuple:
@@ -475,12 +487,18 @@ class Chipmunk:
         # digest or eager sha1, per ``config.memoize``), the ``check_state``
         # telemetry span, and the checker call all live behind it.  The
         # memo-off reference keeps a per-workload table, independent of
-        # cross-workload reuse.
+        # cross-workload reuse.  The read-set tier only pays under fence
+        # crash points: fsync points give few states whose reads repeat.
         memo = CheckMemo(
             checker,
             telemetry=tel,
             delta=self.config.memoize,
             table=self.memo_table if self.config.memoize else None,
+            readsets=(
+                self.readset_table
+                if self.config.memoize and crash_points == "fence"
+                else None
+            ),
         )
         planner = None
         if self.config.crash_plans == "mech" and crash_points == "fence":
@@ -532,7 +550,7 @@ class Chipmunk:
             n_states += 1
             found = memo.check(state)
             if found is None:
-                # Memo hit: a byte-identical state was already checked.
+                # Memo hit: a byte-identical state was already judged.
                 if tel.enabled:
                     tel.count("harness.dedup_hits")
                 t_prev = time.perf_counter()
@@ -581,7 +599,7 @@ class Chipmunk:
             workload_desc=desc,
             reports=reports,
             n_crash_states=n_states,
-            n_unique_states=memo.checked,
+            n_unique_states=memo.unique,
             n_fences=stats.n_fences,
             log_length=len(log),
             inflight=inflight_histogram(log, self.config.coalesce_threshold),
@@ -591,6 +609,7 @@ class Chipmunk:
             truncated=truncated,
             memo_hits=memo.hits,
             memo_misses=memo.misses,
+            memo_readset_hits=memo.readset_hits,
             memo_miss_reasons=dict(memo.attribution.reasons),
             memo_collisions=[
                 [key, count] for key, count in memo.attribution.top_collisions()
@@ -673,6 +692,7 @@ class Chipmunk:
             truncated=result.truncated,
             memo_hits=result.memo_hits,
             memo_misses=result.memo_misses,
+            memo_readset_hits=result.memo_readset_hits,
             memo_miss_reasons=result.memo_miss_reasons,
             memo_collisions=result.memo_collisions,
             memo_noop_dropped=result.memo_noop_dropped,

@@ -116,8 +116,8 @@ class MemoAttribution:
     def note_cross_workload_hit(
         self, state, ckey: Optional[bytes] = None
     ) -> None:
-        """Record a state skipped on a clean verdict an earlier workload
-        recorded.
+        """Record a state skipped on a verdict recorded earlier: a clean
+        verdict from an earlier workload, or a read-set verdict.
 
         A hit is not a miss, so no reason is counted — ``sum(reasons) ==
         misses`` stays structural.  But the state's base and context are

@@ -73,6 +73,9 @@ class CampaignStats:
     #: because a byte-identical image was already checked / states checked.
     n_memo_hits: int = 0
     n_memo_misses: int = 0
+    #: Hits the read-set verdict table answered
+    #: (``checker.memo.readset_hits``; also in :attr:`n_memo_hits`).
+    n_memo_readset_hits: int = 0
     #: Memo-miss attribution (``checker.memo.miss.*``): reason -> count,
     #: summing exactly to :attr:`n_memo_misses` when every result carries
     #: attribution data.
@@ -122,6 +125,7 @@ class CampaignStats:
         self.n_reports += len(result.reports)
         self.n_memo_hits += getattr(result, "memo_hits", 0)
         self.n_memo_misses += getattr(result, "memo_misses", 0)
+        self.n_memo_readset_hits += getattr(result, "memo_readset_hits", 0)
         self.n_memo_noop_dropped += getattr(result, "memo_noop_dropped", 0)
         self.n_memo_evictions += getattr(result, "memo_evictions", 0)
         self.n_unique_outcomes += getattr(result, "n_unique_outcomes", 0)
@@ -267,6 +271,7 @@ class CampaignStats:
         self.n_reports += int(fields.get("n_reports", 0))
         self.n_memo_hits += int(fields.get("memo_hits", 0))
         self.n_memo_misses += int(fields.get("memo_misses", 0))
+        self.n_memo_readset_hits += int(fields.get("memo_readset_hits", 0))
         self.n_memo_noop_dropped += int(fields.get("memo_noop_dropped", 0))
         self.n_memo_evictions += int(fields.get("memo_evictions", 0))
         self.n_unique_outcomes += int(fields.get("n_unique_outcomes", 0))
@@ -316,6 +321,7 @@ class CampaignStats:
             "dedup_hit_rate": self.dedup_hit_rate,
             "memo_hits": self.n_memo_hits,
             "memo_misses": self.n_memo_misses,
+            "memo_readset_hits": self.n_memo_readset_hits,
             "memo_hit_rate": self.memo_hit_rate,
             "memo_miss_reasons": dict(self.memo_miss_reasons),
             "memo_noop_writes_dropped": self.n_memo_noop_dropped,
@@ -370,9 +376,13 @@ class CampaignStats:
             f"fences: {self.n_fences}   reports: {self.n_reports}"
         )
         if self.n_memo_hits or self.n_memo_misses:
+            readset = (
+                f" ({self.n_memo_readset_hits} by read set)"
+                if self.n_memo_readset_hits else ""
+            )
             line = (
-                f"check memo (checker.memo.*): {self.n_memo_hits} hit(s), "
-                f"{self.n_memo_misses} miss(es) "
+                f"check memo (checker.memo.*): {self.n_memo_hits} hit(s)"
+                f"{readset}, {self.n_memo_misses} miss(es) "
                 f"(hit-rate {self.memo_hit_rate * 100:.1f}%)"
             )
             if self.n_memo_noop_dropped:
@@ -391,11 +401,12 @@ class CampaignStats:
                 "memo misses by reason: "
                 + ", ".join(f"{reason} {n}" for reason, n in ordered)
             )
-        if self.n_unique_outcomes and self.n_memo_misses:
+        judged = self.n_memo_misses + self.n_memo_readset_hits
+        if self.n_unique_outcomes and judged:
             lines.append(
                 f"recovered outcomes: {self.n_unique_outcomes} distinct of "
-                f"{self.n_memo_misses} checked (equivalence-pruning headroom "
-                f"{(1 - self.n_unique_outcomes / self.n_memo_misses) * 100:.1f}%)"
+                f"{judged} judged (equivalence-pruning headroom "
+                f"{(1 - self.n_unique_outcomes / judged) * 100:.1f}%)"
             )
         if self.mech_recognized:
             ordered = sorted(

@@ -122,6 +122,8 @@ class CoverageReport:
     states_checked: int = 0
     memo_hits: int = 0
     memo_misses: int = 0
+    #: Hits the read-set verdict table answered (also in ``memo_hits``).
+    memo_readset_hits: int = 0
     memo_noop_dropped: int = 0
     #: Clean entries LRU-evicted from the bounded memo tables.
     memo_evictions: int = 0
@@ -157,6 +159,7 @@ class CoverageReport:
         self.states_checked += int(fields.get("n_unique_states", 0))
         self.memo_hits += int(fields.get("memo_hits", 0))
         self.memo_misses += int(fields.get("memo_misses", 0))
+        self.memo_readset_hits += int(fields.get("memo_readset_hits", 0))
         self.memo_noop_dropped += int(fields.get("memo_noop_dropped", 0))
         self.memo_evictions += int(fields.get("memo_evictions", 0))
         self.unique_outcomes += int(fields.get("n_unique_outcomes", 0))
@@ -269,6 +272,7 @@ class CoverageReport:
             "states_checked": self.states_checked,
             "memo_hits": self.memo_hits,
             "memo_misses": self.memo_misses,
+            "memo_readset_hits": self.memo_readset_hits,
             "memo_hit_rate": self.memo_hit_rate,
             "memo_noop_writes_dropped": self.memo_noop_dropped,
             "memo_evictions": self.memo_evictions,
@@ -324,13 +328,13 @@ class CoverageReport:
         lines.append("## Crash-state space")
         lines.append("")
         lines.append(
-            f"| enumerated | checked | memo hits | "
+            f"| enumerated | judged | memo hits | read-set hits | "
             f"memo hit-rate | unique outcomes |"
         )
-        lines.append("| ---: | ---: | ---: | ---: | ---: |")
+        lines.append("| ---: | ---: | ---: | ---: | ---: | ---: |")
         lines.append(
             f"| {self.states_enumerated} | {self.states_checked} | "
-            f"{self.memo_hits} | "
+            f"{self.memo_hits} | {self.memo_readset_hits} | "
             f"{self.memo_hit_rate * 100:.1f}% | "
             f"{self.unique_outcomes} |"
         )
@@ -343,7 +347,7 @@ class CoverageReport:
             lines.append("")
         if self.states_checked:
             lines.append(
-                f"Of {self.states_checked} checked states, only "
+                f"Of {self.states_checked} judged states, only "
                 f"{self.unique_outcomes} recovered to distinct observable "
                 f"outcomes — **{self.outcome_headroom * 100:.1f}% headroom** "
                 f"for WITCHER-style output-equivalence pruning."

@@ -15,8 +15,9 @@ defines:
   provenance.  A cluster fed only by side B **appeared**, only by side A
   **disappeared**, by both **persisting**.  Appeared/disappeared clusters
   are bug-set divergence; the CLI exits non-zero on them.
-* **Metrics** (states enumerated/checked, memo hit-rate, mech plan and
-  fallback counts, states/sec, coverage headroom) are folded from each
+* **Metrics** (states enumerated/judged, checks run, memo hit-rate and
+  read-set hits, mech plan and fallback counts, states/sec, coverage
+  headroom) are folded from each
   side's checkpoint journal or telemetry trace and reported as deltas with
   a tolerance threshold — informational, never part of the exit code,
   because wall-clock numbers differ across hosts while bug sets must not.
@@ -48,7 +49,9 @@ METRICS = (
     ("workloads", None),
     ("states_enumerated", "lower"),
     ("states_checked", "lower"),
+    ("checks_run", "lower"),
     ("memo_hit_rate", "higher"),
+    ("memo_readset_hits", "higher"),
     ("mech_plans_emitted", None),
     ("mech_fallback_epochs", "lower"),
     ("reports", None),
@@ -100,17 +103,18 @@ def _metrics_of_stats(stats) -> Dict[str, float]:
         "workloads": float(stats.n_workloads),
         "states_enumerated": float(stats.n_crash_states),
         "states_checked": float(stats.n_unique_states),
+        "checks_run": float(stats.n_memo_misses),
         "memo_hit_rate": stats.memo_hit_rate,
+        "memo_readset_hits": float(stats.n_memo_readset_hits),
         "mech_plans_emitted": float(stats.n_mech_plans_emitted),
         "mech_fallback_epochs": float(stats.n_mech_fallback_epochs),
         "reports": float(stats.n_reports),
         "wall_time_seconds": stats.wall_time,
         "states_per_sec": stats.states_per_second,
     }
-    if stats.n_memo_misses:
-        metrics["coverage_headroom"] = (
-            1.0 - stats.n_unique_outcomes / stats.n_memo_misses
-        )
+    judged = stats.n_memo_misses + stats.n_memo_readset_hits
+    if judged:
+        metrics["coverage_headroom"] = 1.0 - stats.n_unique_outcomes / judged
     return metrics
 
 

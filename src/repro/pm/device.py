@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from time import perf_counter
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs import profile as _profile
 
@@ -36,6 +36,12 @@ class PMDevice:
         Device capacity in bytes.  Must be a positive multiple of the
         cache-line size so flush ranges always stay in bounds.
     """
+
+    #: Access trace, or None when untraced.  While a list is set, every
+    #: :meth:`read` appends ``(addr, data)`` and every :meth:`write`
+    #: appends ``(addr, length)`` — the read-set verdict memo
+    #: (:mod:`repro.memo.readset`) records what one check read this way.
+    trace: Optional[List[Tuple[int, object]]] = None
 
     def __init__(self, size: int, telemetry=None, *, image=None) -> None:
         if size <= 0 or size % CACHE_LINE != 0:
@@ -80,7 +86,10 @@ class PMDevice:
         if self._c_reads is not None:
             self._c_reads.inc()
             self._c_read_bytes.inc(length)
-        return bytes(self.image[addr : addr + length])
+        data = bytes(self.image[addr : addr + length])
+        if self.trace is not None:
+            self.trace.append((addr, data))
+        return data
 
     def write(self, addr: int, data: bytes) -> None:
         """Store ``data`` at ``addr`` in the volatile view.
@@ -93,6 +102,8 @@ class PMDevice:
         if self._c_writes is not None:
             self._c_writes.inc()
             self._c_write_bytes.inc(len(data))
+        if self.trace is not None:
+            self.trace.append((addr, len(data)))
         if self._undo is not None:
             self._undo.append((addr, bytes(self.image[addr : addr + len(data)])))
         self.image[addr : addr + len(data)] = data
