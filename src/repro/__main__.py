@@ -101,7 +101,6 @@ from repro.fs.registry import FS_CLASSES
 from repro.obs import Telemetry
 from repro.obs.campaign import CampaignStats
 from repro.obs.tracing import jsonl_to_chrome
-from repro.pm.backend import BACKEND_CHOICES
 from repro.workloads import ace
 from repro.workloads.fuzzer import WorkloadFuzzer
 from repro.workloads.ops import Op
@@ -198,7 +197,6 @@ def cmd_test(args) -> int:
             cap=args.cap,
             memoize=args.memoize,
             crash_plans=args.crash_plans,
-            image_backend=args.image_backend,
         ),
         telemetry=tel,
     )
@@ -222,7 +220,6 @@ def cmd_ace(args) -> int:
             cap=args.cap,
             memoize=args.memoize,
             crash_plans=args.crash_plans,
-            image_backend=args.image_backend,
         ),
         telemetry=tel,
     )
@@ -275,7 +272,6 @@ def cmd_fuzz(args) -> int:
             cap=args.cap,
             memoize=args.memoize,
             crash_plans=args.crash_plans,
-            image_backend=args.image_backend,
         ),
         telemetry=tel,
     )
@@ -357,7 +353,6 @@ def cmd_campaign(args) -> int:
                 memoize=args.memoize,
                 crash_plans=args.crash_plans,
                 profile=args.profile,
-                image_backend=args.image_backend,
             )
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -588,7 +583,6 @@ def cmd_profile(args) -> int:
             memoize=args.memoize,
             crash_plans=args.crash_plans,
             profile=True,
-            image_backend=args.image_backend,
         ),
         telemetry=tel,
     )
@@ -850,14 +844,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="crash-plan selection: capped subset enumeration "
             "(default) or mechanism-targeted plans with subset fallback",
         )
-        p.add_argument(
-            "--image-backend",
-            choices=BACKEND_CHOICES,
-            default="auto",
-            help="crash-image replay backend: auto picks numpy when "
-            "importable, falling back to the pure-python reference "
-            "(same reports either way)",
-        )
 
     p_test = sub.add_parser("test", help="test one workload")
     add_common(p_test)
@@ -950,13 +936,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="subset",
         help="crash-plan selection: capped subset enumeration (default) "
         "or mechanism-targeted plans with subset fallback",
-    )
-    p_camp.add_argument(
-        "--image-backend",
-        choices=BACKEND_CHOICES,
-        default="auto",
-        help="crash-image replay backend for every worker: auto picks "
-        "numpy when importable, falling back to the pure-python reference",
     )
     p_camp.add_argument("--batch", type=int, default=8,
                         help="work items per dispatch (default 8)")

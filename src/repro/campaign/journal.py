@@ -93,7 +93,17 @@ class CheckpointJournal:
     # ------------------------------------------------------------------
     def open(self) -> None:
         os.makedirs(os.path.dirname(self.path), exist_ok=True)
+        torn = False
+        if os.path.exists(self.path) and os.path.getsize(self.path):
+            with open(self.path, "rb") as fh:
+                fh.seek(-1, os.SEEK_END)
+                torn = fh.read(1) != b"\n"
         self._fh = open(self.path, "a", encoding="utf-8")
+        if torn:
+            # A kill mid-append left a partial last line; end it so the
+            # next record starts a line of its own instead of being glued
+            # onto the torn one (and dropped with it on replay).
+            self._fh.write("\n")
 
     def close(self) -> None:
         if self._fh is not None:

@@ -49,10 +49,6 @@ class CampaignSpec:
     #: Hot-path profiler (``ChipmunkConfig.profile``): per-stage/per-site
     #: time and byte attribution recorded into each ``TestResult``.
     profile: bool = False
-    #: Crash-image backend (``ChipmunkConfig.image_backend``): ``"auto"``
-    #: picks numpy when importable; ``"python"``/``"numpy"`` pin one.  In
-    #: the spec so every worker replays states on the same backend.
-    image_backend: str = "auto"
 
     def __post_init__(self) -> None:
         if self.fs not in FS_CLASSES():
@@ -63,10 +59,6 @@ class CampaignSpec:
             raise ValueError(f"seq must be 1, 2, or 3 (got {self.seq})")
         if self.crash_plans not in ("subset", "mech"):
             raise ValueError(f"unknown crash-plan mode {self.crash_plans!r}")
-        from repro.pm.backend import BACKEND_CHOICES
-
-        if self.image_backend not in BACKEND_CHOICES:
-            raise ValueError(f"unknown image backend {self.image_backend!r}")
 
     @property
     def mode(self) -> str:
@@ -89,7 +81,6 @@ class CampaignSpec:
                 memoize=self.memoize,
                 crash_plans=self.crash_plans,
                 profile=self.profile,
-                image_backend=self.image_backend,
             ),
             telemetry=telemetry,
         )

@@ -39,7 +39,7 @@ from repro.memo.store import MemoTable
 from repro.obs.attribution import MemoAttribution
 from repro.obs.metrics import CacheCounters
 from repro.pm.device import PMDevice, PMDeviceError
-from repro.pm.image import CrashImage, FenceBase
+from repro.pm.image import CrashImage
 from repro.vfs.errors import FsError
 from repro.vfs.interface import FileSystem, MountError
 from repro.vfs.types import FileType
@@ -79,13 +79,11 @@ class ConsistencyChecker:
         #: Optional :class:`~repro.forensics.provenance.ProvenanceRecorder`;
         #: when attached, every report carries its crash state's lineage.
         self.provenance = provenance
-        # One shared mount device per fence base (states of one region
-        # arrive consecutively, so a single-entry cache hits every time).
-        # The numpy backend goes further: one adopted device per *tracker*,
-        # wrapping the replayer's live buffer for every region.
-        self._mount_base: Optional[FenceBase] = None
-        self._mount_device: Optional[PMDevice] = None
+        # One adopted mount device per replay tracker: every fence base of
+        # a workload shares the tracker's live buffer, so the device wraps
+        # that buffer once and each state's view patches it in place.
         self._mount_store = None
+        self._mount_device: Optional[PMDevice] = None
         #: Digests of every distinct *recovered observable outcome* seen —
         #: the post-recovery tree (or an unmountable/unreadable marker) per
         #: checked state.  ``len(outcome_digests) / states checked`` is the
@@ -238,45 +236,25 @@ class ConsistencyChecker:
         """The device a state is checked on, for the ``with`` block."""
         image = state.image
         if isinstance(image, CrashImage):
-            # Delta path: mount the fence region's shared device through a
-            # copy-on-write view of the state's overlay.  The view's undo
-            # log rolls back both the overlay and any checker mutation
-            # (mount-time recovery writes, the usability pass), so states
-            # never leak into each other — the paper's own undo-log
-            # strategy, instead of a full image copy per state.
+            # Delta path: the fence base shares the replayer's live buffer,
+            # so adopt that buffer as the mount device (no copy, ever) and
+            # mount the state through a copy-on-write view of the base's
+            # restore patch plus the state's overlay.  The patch rolls the
+            # live content back to this region; it is empty while states
+            # stream (each region is checked as it is enumerated) and only
+            # grows for stale bases re-checked later.  The view's undo log
+            # rolls back the overlay and any checker mutation (mount-time
+            # recovery writes, the usability pass), so states never leak
+            # into each other — the paper's own undo-log strategy, instead
+            # of a full image copy per state.
             base = image.base
-            restore = getattr(base, "restore_writes", None)
-            if restore is not None and not base.adoptable:
-                # A later write grew the live buffer past this base's
-                # historical end; content restores cannot truncate, so the
-                # zero-copy adopt path would mount a longer device.  Take
-                # the snapshotting path below instead (rare: only logs
-                # that write past the device end).
-                restore = None
-            if restore is not None:
-                # Numpy backend: the base shares the replayer's live buffer
-                # — adopt that buffer as the mount device (no copy, ever)
-                # and prefix the COW view with the base's restore patch,
-                # which rolls the live content back to this region.  While
-                # states stream (region checked as it is enumerated) the
-                # patch is empty; it only grows for stale bases re-checked
-                # after enumeration moved on.
-                tracker = base.tracker
-                if self._mount_store is not tracker:
-                    self._mount_store = tracker
-                    self._mount_base = None
-                    self._mount_device = PMDevice.adopt(
-                        tracker.buf, telemetry=self.telemetry
-                    )
-                writes = tuple(restore()) + image.writes
-            else:
-                if self._mount_base is not base:
-                    self._mount_base = base
-                    self._mount_store = None
-                    self._mount_device = PMDevice.from_snapshot(
-                        base.data, telemetry=self.telemetry
-                    )
-                writes = image.writes
+            tracker = base.tracker
+            if self._mount_store is not tracker:
+                self._mount_store = tracker
+                self._mount_device = PMDevice.adopt(
+                    tracker.buf, telemetry=self.telemetry
+                )
+            writes = tuple(base.restore_writes()) + image.writes
             with self._mount_device.cow_view(writes) as device:
                 yield device
             return

@@ -83,26 +83,12 @@ class ChipmunkConfig:
     #: Off by default — the disabled path costs one global read per
     #: instrumented site (the telemetry-overhead bench pins it).
     profile: bool = False
-    #: Crash-image data plane (:mod:`repro.pm.backend`): ``"python"`` (the
-    #: reference implementation), ``"numpy"`` (vectorized, zero-copy fence
-    #: bases), or ``"auto"`` (numpy when importable).  Both backends
-    #: produce byte-identical crash states, digests, and reports; an
-    #: explicit ``"numpy"`` degrades gracefully to ``"python"`` on hosts
-    #: without numpy.
-    image_backend: str = "auto"
 
     def __post_init__(self) -> None:
         if self.crash_plans not in ("subset", "mech"):
             raise ValueError(
                 f"unknown crash-plan mode {self.crash_plans!r} "
                 f"(expected 'subset' or 'mech')"
-            )
-        from repro.pm.backend import BACKEND_CHOICES
-
-        if self.image_backend not in BACKEND_CHOICES:
-            raise ValueError(
-                f"unknown image backend {self.image_backend!r} "
-                f"(expected one of {BACKEND_CHOICES})"
             )
 
 
@@ -180,9 +166,6 @@ class TestResult:
     #: per-stage seconds, per-callsite attribution, byte accounting.
     #: Empty unless the workload ran with ``ChipmunkConfig.profile``.
     profile: Dict[str, object] = field(default_factory=dict)
-    #: Crash-image backend the workload actually ran under ("python" |
-    #: "numpy") — the resolved value, not the configured one.
-    image_backend: str = "python"
     #: Backing store of :attr:`clusters`; ``None`` until first read.
     _clusters: Optional[List[Cluster]] = field(
         default=None, repr=False, compare=False
@@ -271,7 +254,6 @@ class TestResult:
             "mech_plans_emitted": self.mech_plans_emitted,
             "mech_fallback_epochs": self.mech_fallback_epochs,
             "profile": dict(self.profile),
-            "image_backend": self.image_backend,
         }
         if tables:
             out["provenance_tables"] = tables.to_list()
@@ -334,7 +316,6 @@ class TestResult:
             mech_plans_emitted=int(data.get("mech_plans_emitted", 0)),
             mech_fallback_epochs=int(data.get("mech_fallback_epochs", 0)),
             profile=dict(data.get("profile", {})),
-            image_backend=str(data.get("image_backend", "python")),
         )
 
 
@@ -522,9 +503,6 @@ class Chipmunk:
         truncated = False
         enum_time = 0.0
         check_time = 0.0
-        from repro.pm.backend import resolve_backend
-
-        image_backend = resolve_backend(self.config.image_backend)
         states = enumerate_crash_states(
             base,
             log,
@@ -534,7 +512,6 @@ class Chipmunk:
             stats=stats,
             telemetry=tel,
             planner=planner,
-            image_backend=image_backend,
         )
         if profiler is not None:
             profiler.set_stage("enumerate")
@@ -625,7 +602,6 @@ class Chipmunk:
             mech_plans_emitted=planner.plans_emitted if planner else 0,
             mech_fallback_epochs=planner.fallback_epochs if planner else 0,
             profile=prof_dict,
-            image_backend=image_backend,
         )
         result.clusters = clusters
         if tel.enabled:
@@ -706,7 +682,6 @@ class Chipmunk:
             mech_plans_emitted=result.mech_plans_emitted,
             mech_fallback_epochs=result.mech_fallback_epochs,
             profile=result.profile,
-            image_backend=result.image_backend,
             outcomes=outcomes,
             inflight=result.inflight,
         )

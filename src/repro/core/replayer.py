@@ -15,13 +15,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.obs import profile as _profile
 from repro.obs.metrics import INFLIGHT_EDGES
-from repro.pm.backend import resolve_backend
-from repro.pm.image import ChunkedDigest, CrashImage, FenceBase
+from repro.pm.image import CrashImage, PersistTracker
 from repro.pm.log import Fence, Flush, NTStore, PMLog, SyscallBegin, SyscallEnd, WriteEntry
 
 #: NT stores at least this large are treated as file-data writes for
@@ -130,55 +127,6 @@ def unit_positions(units: Sequence[Sequence[WriteEntry]]) -> List[Tuple[int, ...
     return positions
 
 
-class _PersistTracker:
-    """The replayer's mutable persistent image plus its shared fence base.
-
-    Keeps the persistent ``bytearray`` in sync with an incremental content
-    digest (:class:`~repro.pm.image.ChunkedDigest`) and hands out one
-    immutable :class:`~repro.pm.image.FenceBase` per fence region, built
-    lazily at the region's first crash state and shared by every state of
-    the region.  Applying a fence's writes invalidates only the touched
-    digest chunks and drops the cached base, so advancing a region costs
-    O(bytes written), not O(device).
-    """
-
-    __slots__ = ("buf", "_digest", "_base")
-
-    def __init__(self, base_image: bytes) -> None:
-        self.buf = bytearray(base_image)
-        self._digest = ChunkedDigest(self.buf)
-        self._base: Optional[FenceBase] = None
-
-    def apply(self, entries: Sequence[WriteEntry]) -> None:
-        """Persist ``entries`` (a fence retiring the in-flight vector)."""
-        if not entries:
-            return
-        prof = _profile.ACTIVE
-        t0 = perf_counter() if prof is not None else 0.0
-        buf = self.buf
-        applied = 0
-        for entry in entries:
-            buf[entry.addr : entry.addr + len(entry.data)] = entry.data
-            self._digest.invalidate(entry.addr, len(entry.data))
-            applied += len(entry.data)
-        self._base = None
-        if prof is not None:
-            prof.add("replay.persist_apply", perf_counter() - t0, applied)
-
-    def base(self) -> FenceBase:
-        """The current region's immutable snapshot (cached per region)."""
-        if self._base is None:
-            prof = _profile.ACTIVE
-            t0 = perf_counter() if prof is not None else 0.0
-            m0 = prof.mark() if prof is not None else 0.0
-            self._base = FenceBase(bytes(self.buf), self._digest.digest())
-            if prof is not None:
-                # Exclusive of the chunk rehashes the digest runs inside.
-                prof.add_exclusive("replay.fence_base", perf_counter() - t0,
-                                   m0, len(self.buf), "materialized")
-        return self._base
-
-
 @dataclass
 class ReplayStats:
     """Aggregate statistics gathered while enumerating crash states."""
@@ -208,7 +156,6 @@ def enumerate_crash_states(
     unit_ranker=None,
     telemetry=None,
     planner=None,
-    image_backend: str = "python",
 ) -> Iterator[CrashState]:
     """Enumerate crash states for a recorded workload.
 
@@ -243,23 +190,10 @@ def enumerate_crash_states(
     subsequence of the unplanned one.  The planner takes precedence over
     ``unit_ranker`` for planned epochs (plans are already targeted);
     fallback epochs still rank.
-
-    ``image_backend`` selects the crash-image data plane: ``"python"``
-    (the default — immutable per-region ``bytes`` snapshots) or
-    ``"numpy"`` (:class:`repro.pm.image_np.NPPersistTracker` — zero-copy
-    lazy fence bases over the live buffer plus vectorized digesting).
-    Both produce value-identical states; callers resolve ``"auto"`` via
-    :func:`repro.pm.backend.resolve_backend` before passing it here.
     """
     if crash_points not in ("fence", "post", "fsync"):
         raise ValueError(f"unknown crash_points mode {crash_points!r}")
-    backend = resolve_backend(image_backend)
-    if backend == "numpy":
-        from repro.pm.image_np import NPPersistTracker
-
-        persistent = NPPersistTracker(base_image)
-    else:
-        persistent = _PersistTracker(base_image)
+    persistent = PersistTracker(base_image)
     inflight: List[WriteEntry] = []
     in_syscall: Optional[int] = None
     in_name: Optional[str] = None

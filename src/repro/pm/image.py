@@ -1,4 +1,4 @@
-"""Zero-copy crash-state images: shared fence bases plus sparse overlays.
+"""Zero-copy crash-state images: lazy fence bases plus sparse overlays.
 
 The replayer used to build every crash state eagerly — ``bytearray`` copy of
 the persistent image, replay the subset, freeze to ``bytes`` — an
@@ -6,15 +6,26 @@ O(device_size) cost paid per *state* even though all states of one fence
 region share the same persistent base and differ only in a handful of
 replayed byte ranges.  This module holds the lazy representation:
 
-* :class:`FenceBase` — one immutable snapshot of the persistent image per
-  fence region, tagged with a content digest.  Every crash state of the
-  region shares the same object; nothing is copied per subset.
+* :class:`PersistTracker` — the replayer's persistent buffer plus an
+  **undo log**: applying a fence epoch records each write's before-image,
+  so any earlier region's content stays reconstructible from the live
+  buffer without ever copying the device.
+* :class:`FenceBase` — one fence region's persistent image, tagged with a
+  content digest and shared by reference by every crash state of the
+  region.  It holds no snapshot: random access patches the live buffer
+  with the undo suffix (O(suffix delta), not O(device)), and flat bytes
+  are built only if a consumer genuinely needs them.  The checker mounts
+  the live buffer directly through a COW view prefixed with
+  :meth:`FenceBase.restore_writes` — empty while states stream, because
+  states of a region are checked while the region is current.
 * :class:`CrashImage` — a fence base plus a sparse overlay of replayed
   ``(addr, payload)`` ranges.  Materialization to flat ``bytes`` happens
   only on demand (forensics image diffs, legacy consumers) and is cached.
 * :class:`ChunkedDigest` — an incrementally maintained content digest over
-  the replayer's mutable persistent buffer, so taking a fence base at every
-  region costs O(bytes written since the last fence), not O(device).
+  the tracker's buffer, so taking a fence base at every region costs
+  O(bytes written since the last fence), not O(device).  All-zero chunks
+  (most of a fresh mkfs image) are recognized by one compare and never
+  hashed.
 
 The content address of a crash state is
 ``sha1(base.digest ‖ (addr, len, payload) per effective replayed range)``.
@@ -41,16 +52,25 @@ case actually bites).
 from __future__ import annotations
 
 import hashlib
+import re
 import struct
+import weakref
 from time import perf_counter
 from typing import List, Optional, Sequence, Tuple
 
 from repro.obs import profile as _profile
+from repro.pm.device import PMDeviceError
 
 #: Granularity of the incremental digest over the persistent buffer.  Small
 #: enough that a fence region dirtying a few metadata lines rehashes a few
 #: chunks; large enough that the per-chunk bookkeeping stays negligible.
 CHUNK = 16 * 1024
+
+_ZERO_CHUNK = bytes(CHUNK)
+_ZERO_CHUNK_DIGEST = hashlib.sha1(_ZERO_CHUNK).digest()
+
+#: Maximal runs of nonzero bytes — the changed runs of an xor diff.
+_CHANGED_RUNS = re.compile(rb"[^\x00]+")
 
 #: One overlay range: (device address, payload bytes).
 OverlayWrite = Tuple[int, bytes]
@@ -61,44 +81,49 @@ def flatten_overlay(
 ) -> Tuple[OverlayWrite, ...]:
     """The exact byte-level diff from ``base`` after applying ``writes``.
 
-    Flattens the overlay with later-writes-win semantics down to single
-    bytes, drops every byte equal to the base, and merges the survivors
-    back into maximal contiguous runs.  The result is a pure function of
-    the *materialized* image: two overlays materializing identically
-    flatten identically, regardless of how their writes partition, order,
-    or overlap the ranges.  Cost is O(total overlay bytes), never
-    O(device), so it is usable per crash state.
+    Flattens the overlay with later-writes-win semantics, drops every byte
+    equal to the base, and returns the survivors as maximal contiguous
+    runs.  The result is a pure function of the *materialized* image: two
+    overlays materializing identically flatten identically, regardless of
+    how their writes partition, order, or overlap the ranges.
 
-    ``base`` is flat ``bytes`` or any fence-base object; a base providing
-    its own ``flatten_overlay`` (the numpy backend's
-    :class:`repro.pm.image_np.LazyFenceBase`) computes the identical value
-    vectorized, without ever materializing the base.
+    ``base`` is flat ``bytes`` or a :class:`FenceBase`; only the merged
+    overlay spans are ever read from it, so the cost is O(total overlay
+    bytes), never O(device).  Each span is resolved in a ``bytearray``,
+    xor-ed against the base slice as one big integer, and the changed
+    runs are the nonzero runs of that xor — all C-speed, no per-byte
+    python loop.
     """
-    vectorized = getattr(base, "flatten_overlay", None)
-    if vectorized is not None:
-        return vectorized(writes)
-    if not isinstance(base, (bytes, bytearray, memoryview)):
-        base = base.data  # python FenceBase: flat snapshot, free to index
     prof = _profile.ACTIVE
     t0 = perf_counter() if prof is not None else 0.0
-    latest: dict = {}
-    for addr, data in writes:
-        for i, b in enumerate(data):
-            latest[addr + i] = b
-    runs: List[Tuple[int, bytearray]] = []
-    for pos in sorted(latest):
-        b = latest[pos]
-        if base[pos] == b:
-            continue
-        if runs and runs[-1][0] + len(runs[-1][1]) == pos:
-            runs[-1][1].append(b)
+    ranges = [(addr, data) for addr, data in writes if data]
+    spans: List[Tuple[int, int]] = []
+    for lo, hi in sorted((a, a + len(d)) for a, d in ranges):
+        if spans and lo <= spans[-1][1]:
+            if hi > spans[-1][1]:
+                spans[-1] = (spans[-1][0], hi)
         else:
-            runs.append((pos, bytearray((b,))))
-    flat = tuple((addr, bytes(data)) for addr, data in runs)
+            spans.append((lo, hi))
+    flat: List[OverlayWrite] = []
+    for lo, hi in spans:
+        old = bytes(base[lo:hi])
+        new = bytearray(old)
+        for addr, data in ranges:
+            # Spans are unions of whole writes: each write lies in one.
+            if lo <= addr < hi:
+                new[addr - lo : addr - lo + len(data)] = data
+        if new == old:
+            continue
+        diff = (
+            int.from_bytes(new, "big") ^ int.from_bytes(old, "big")
+        ).to_bytes(hi - lo, "big")
+        for run in _CHANGED_RUNS.finditer(diff):
+            s, e = run.span()
+            flat.append((lo + s, bytes(new[s:e])))
     if prof is not None:
         prof.add("image.flatten_overlay", perf_counter() - t0,
-                 sum(len(d) for _, d in writes))
-    return flat
+                 sum(len(d) for _, d in ranges))
+    return tuple(flat)
 
 
 class ChunkedDigest:
@@ -129,20 +154,28 @@ class ChunkedDigest:
     def digest(self) -> bytes:
         """sha1 over the per-chunk sha1s, rehashing only dirty chunks.
 
-        The combine hashes one joined buffer instead of feeding the chunk
-        digests to sha1 one update at a time — same byte stream, same
-        value, without an O(chunks) python loop of hashlib calls per call.
+        A dirty chunk equal to an all-zero chunk takes the precomputed
+        zero digest — one C-speed ``startswith`` compare, no copy, instead
+        of a hash — which is what keeps the first digest of a mostly-zero
+        device cheap.  The combine hashes one joined buffer instead of
+        feeding the chunk digests to sha1 one update at a time — same byte
+        stream, same value, without an O(chunks) python loop of hashlib
+        calls per call.
         """
         prof = _profile.ACTIVE
         t0 = perf_counter() if prof is not None else 0.0
         chunks = self._chunks
-        view = memoryview(self.buf)
+        buf = self.buf
+        view = memoryview(buf)
         rehashed = 0
         for i, cached in enumerate(chunks):
             if cached is None:
-                piece = view[i * CHUNK : (i + 1) * CHUNK]
-                chunks[i] = hashlib.sha1(piece).digest()
-                rehashed += len(piece)
+                if buf.startswith(_ZERO_CHUNK, i * CHUNK):
+                    chunks[i] = _ZERO_CHUNK_DIGEST
+                else:
+                    piece = view[i * CHUNK : (i + 1) * CHUNK]
+                    chunks[i] = hashlib.sha1(piece).digest()
+                    rehashed += len(piece)
         combined = hashlib.sha1(b"".join(chunks))
         if prof is not None:
             prof.add("image.chunk_rehash", perf_counter() - t0, rehashed,
@@ -150,30 +183,159 @@ class ChunkedDigest:
         return combined.digest()
 
 
+class PersistTracker:
+    """The replayer's persistent buffer plus undo log and content digest.
+
+    Applying a fence epoch writes it into :attr:`buf` in place, records
+    each write's before-image, and invalidates only the touched digest
+    chunks, so advancing a region costs O(bytes written), not O(device).
+    :meth:`base` hands out the current region's :class:`FenceBase`, which
+    shares :attr:`buf` instead of snapshotting it.
+    """
+
+    __slots__ = ("buf", "size", "_undo", "_digest", "_base")
+
+    def __init__(self, base_image: bytes) -> None:
+        self.buf = bytearray(base_image)
+        self.size = len(self.buf)
+        #: Chronological ``(addr, before-image)`` of every applied write.
+        self._undo: List[OverlayWrite] = []
+        self._digest = ChunkedDigest(self.buf)
+        # Weak, so a dead tracker/base pair frees by refcount (no gc cycle).
+        self._base: Optional["weakref.ref[FenceBase]"] = None
+
+    def apply(self, entries) -> None:
+        """Persist a fence epoch, recording before-images for live bases.
+
+        Raises :class:`~repro.pm.device.PMDeviceError` for an entry outside
+        the device: a recorded log never has one (every store went through
+        :meth:`~repro.pm.device.PMDevice.check_range`).
+        """
+        if not entries:
+            return
+        prof = _profile.ACTIVE
+        t0 = perf_counter() if prof is not None else 0.0
+        buf = self.buf
+        size = self.size
+        undo = self._undo
+        invalidate = self._digest.invalidate
+        applied = 0
+        for entry in entries:
+            addr = entry.addr
+            data = entry.data
+            end = addr + len(data)
+            if addr < 0 or end > size:
+                raise PMDeviceError(
+                    f"write [{addr}, {end}) outside device of size {size}"
+                )
+            undo.append((addr, bytes(buf[addr:end])))
+            buf[addr:end] = data
+            invalidate(addr, len(data))
+            applied += len(data)
+        self._base = None
+        if prof is not None:
+            prof.add("replay.persist_apply", perf_counter() - t0, applied)
+
+    def base(self) -> "FenceBase":
+        """The current region's shared base (cached until the next apply).
+
+        Zero-copy: the returned base references the live buffer; the
+        ``replay.fence_base`` callsite is still recorded (for call counts)
+        but charges no materialized bytes unless ``.data`` is later pulled.
+        """
+        base = self._base() if self._base is not None else None
+        if base is None:
+            prof = _profile.ACTIVE
+            t0 = perf_counter() if prof is not None else 0.0
+            m0 = prof.mark() if prof is not None else 0.0
+            base = FenceBase(self, len(self._undo), self._digest.digest())
+            self._base = weakref.ref(base)
+            if prof is not None:
+                # Exclusive of the chunk rehashes the digest runs inside.
+                prof.add_exclusive("replay.fence_base", perf_counter() - t0,
+                                   m0, 0)
+        return base
+
+    def restore_writes(self, undo_pos: int) -> List[OverlayWrite]:
+        """Before-images from the undo suffix, newest first.
+
+        Applying them in the returned order (later entries win) rolls the
+        live buffer back to its content at ``undo_pos``.
+        """
+        undo = self._undo
+        return [undo[i] for i in range(len(undo) - 1, undo_pos - 1, -1)]
+
+    def snapshot_at(self, undo_pos: int) -> bytes:
+        """Flat buffer content as of ``undo_pos`` (one O(device) copy)."""
+        out = bytearray(self.buf)
+        for addr, before in self.restore_writes(undo_pos):
+            out[addr : addr + len(before)] = before
+        return bytes(out)
+
+    def read_range(self, undo_pos: int, start: int, stop: int) -> bytes:
+        """``[start, stop)`` content as of ``undo_pos`` — O(suffix + range)."""
+        if stop <= start:
+            return b""
+        out = bytearray(self.buf[start:stop])
+        for addr, before in self.restore_writes(undo_pos):
+            end = addr + len(before)
+            if addr < stop and start < end:
+                s = max(addr, start)
+                e = min(end, stop)
+                out[s - start : e - start] = before[s - addr : e - addr]
+        return bytes(out)
+
+
 class FenceBase:
-    """One fence region's immutable persistent snapshot, content-tagged.
+    """One fence region's persistent image: live buffer + undo suffix.
 
     Created once per fence region (lazily, at the region's first crash
-    state) and shared by reference across every state of the region — the
-    per-subset O(device) copy of the eager path becomes a per-region one.
+    state) and shared by reference across every state of the region.
     ``digest`` is a content digest, so two regions whose persistent images
     happen to coincide (e.g. a region whose writes were all idempotent)
     share a content address even though they are distinct objects.
+    Nothing is copied when the base is handed out; byte content is
+    reconstructed on demand by patching the tracker's live buffer with the
+    before-images recorded since this region ended.
     """
 
-    __slots__ = ("data", "digest")
+    __slots__ = ("tracker", "_undo_pos", "digest", "_data", "__weakref__")
 
-    def __init__(self, data: bytes, digest: Optional[bytes] = None) -> None:
-        self.data = data
-        self.digest = digest if digest is not None else hashlib.sha1(data).digest()
+    def __init__(self, tracker: PersistTracker, undo_pos: int,
+                 digest: bytes) -> None:
+        self.tracker = tracker
+        self._undo_pos = undo_pos
+        self.digest = digest
+        self._data: Optional[bytes] = None
 
     def __len__(self) -> int:
-        return len(self.data)
+        return self.tracker.size
+
+    @property
+    def data(self) -> bytes:
+        """Flat snapshot bytes — the O(device) copy, paid only on demand."""
+        if self._data is None:
+            prof = _profile.ACTIVE
+            t0 = perf_counter() if prof is not None else 0.0
+            self._data = self.tracker.snapshot_at(self._undo_pos)
+            if prof is not None:
+                prof.add("replay.fence_base", perf_counter() - t0,
+                         len(self._data), "materialized")
+        return self._data
 
     def __getitem__(self, key):
-        # Random access mirrors the numpy backend's LazyFenceBase so image
-        # code can slice a base without caring which backend built it.
+        if self._data is None and isinstance(key, slice) and key.step in (None, 1):
+            start, stop, _ = key.indices(self.tracker.size)
+            return self.tracker.read_range(self._undo_pos, start, stop)
         return self.data[key]
+
+    def restore_writes(self) -> List[OverlayWrite]:
+        """Writes rolling the live buffer back to this base (apply in order).
+
+        Empty while this base's region is the tracker's current one — the
+        streaming-pipeline common case — and O(undo suffix) otherwise.
+        """
+        return self.tracker.restore_writes(self._undo_pos)
 
 
 class CrashImage:

@@ -56,6 +56,14 @@ class TestCrashTolerance:
         state = CheckpointJournal.replay(str(tmp_path))
         assert state.done_ids == {"ace:1:000000"}
         assert state.torn_lines == 1
+        # The resumed run's first record must not be glued onto the torn
+        # tail (and lost with it).
+        journal = open_journal(tmp_path)
+        journal.write_item_done("ace:1:000001", 1, 0, 0, [])
+        journal.close()
+        state = CheckpointJournal.replay(str(tmp_path))
+        assert state.done_ids == {"ace:1:000000", "ace:1:000001"}
+        assert state.torn_lines == 1
 
     def test_append_is_readable_line_by_line(self, tmp_path):
         journal = open_journal(tmp_path)

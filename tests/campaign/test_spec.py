@@ -35,13 +35,16 @@ class TestRoundTrip:
 
     def test_retired_memo_keys_still_load(self, tmp_path):
         """Journals written while the campaign-wide check-memo service
-        existed carry its three spec keys; such a campaign still resumes."""
+        existed carry its three spec keys, and journals written while the
+        image backend was selectable carry ``image_backend``; such a
+        campaign still resumes."""
         from repro.campaign import CampaignEngine, EngineConfig
         from repro.campaign.journal import CheckpointJournal
 
         spec = CampaignSpec(fs="nova", max_workloads=2)
         old = dict(spec.to_dict(), shared_memo=True,
-                   memo_address="127.0.0.1:9009", memo_entries=262144)
+                   memo_address="127.0.0.1:9009", memo_entries=262144,
+                   image_backend="auto")
         assert CampaignSpec.from_dict(old) == spec
         journal = CheckpointJournal(str(tmp_path))
         journal.open()

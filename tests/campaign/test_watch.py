@@ -103,22 +103,32 @@ class TestSnapshot:
         assert snap.beats == []
 
     def test_mech_and_profile_counters_folded(self, tmp_path):
-        # Pinned to the python backend: the numpy backend's clean pipeline
-        # materializes zero bytes, and this test wants every category fed.
         spec = CampaignSpec(fs="nova", generator="ace", seq=1,
-                            max_workloads=4, crash_plans="mech", profile=True,
-                            image_backend="python")
+                            max_workloads=4, crash_plans="mech", profile=True)
         campaign_dir = str(tmp_path / "mechprof")
         CampaignEngine(spec, campaign_dir,
                        EngineConfig(workers=2, batch_size=2)).run()
         snap = CampaignMonitor(campaign_dir).snapshot()
         totals = snap.fold_counters()
         assert totals["mech_plans"] > 0
-        assert totals["profile_bytes"]["materialized"] > 0
+        # The fold is the per-category sum of every journaled result's
+        # profile, recomputed here straight from the journal lines.
+        expected = {}
+        path = os.path.join(campaign_dir, CheckpointJournal.FILENAME)
+        for line in open(path):
+            record = json.loads(line)
+            if record["type"] != "item_done":
+                continue
+            for result in record["results"]:
+                for cat, n in result["profile"]["bytes"].items():
+                    expected[cat] = expected.get(cat, 0) + n
+        assert expected and any(expected.values())
+        assert totals["profile_bytes"] == expected
         frame = CampaignMonitor(campaign_dir).render(snap)
         assert "mech plans" in frame
         assert "profile bytes:" in frame
-        assert "materialized" in frame
+        for cat, n in expected.items():
+            assert (cat in frame) == (n > 0), cat
 
     def test_subset_campaign_shows_no_mech_or_profile_lines(self, tmp_path):
         campaign_dir, _ = _run_campaign(tmp_path)

@@ -8,7 +8,7 @@ from repro.core.oracle import run_oracle
 from repro.core.replayer import enumerate_crash_states
 from repro.fs.bugs import BugConfig
 from repro.obs.attribution import MISS_REASONS, MemoAttribution
-from repro.pm.image import CrashImage, FenceBase
+from repro.pm.image import CrashImage, PersistTracker
 from repro.workloads.ops import Op
 
 
@@ -33,21 +33,21 @@ def _classify(attr, image, syscall=None, mid=False, after=False):
 class TestReasonClasses:
     def test_cold_base_on_first_sight_of_an_epoch(self):
         attr = MemoAttribution()
-        base = FenceBase(bytes(64))
+        base = PersistTracker(bytes(64)).base()
         assert _classify(attr, CrashImage(base, ())) == "cold_base"
-        other = FenceBase(bytes([1]) * 64)
+        other = PersistTracker(bytes([1]) * 64).base()
         assert _classify(attr, CrashImage(other, ())) == "cold_base"
 
     def test_syscall_context_same_content_other_context(self):
         attr = MemoAttribution()
-        base = FenceBase(bytes(64))
+        base = PersistTracker(bytes(64)).base()
         img = CrashImage(base, ((0, b"x"),))
         _classify(attr, img, syscall=1)
         assert _classify(attr, img, syscall=2) == "syscall_context"
 
     def test_new_content_when_bytes_differ(self):
         attr = MemoAttribution()
-        base = FenceBase(bytes(64))
+        base = PersistTracker(bytes(64)).base()
         _classify(attr, CrashImage(base, ((0, b"a"),)), syscall=1)
         reason = _classify(attr, CrashImage(base, ((0, b"b"),)), syscall=1)
         assert reason == "new_content"
@@ -62,7 +62,7 @@ class TestReasonClasses:
 
     def test_every_label_is_in_the_taxonomy(self):
         attr = MemoAttribution()
-        base = FenceBase(bytes(64))
+        base = PersistTracker(bytes(64)).base()
         for img in (
             CrashImage(base, ()),
             CrashImage(base, ((0, b"ab"),)),
@@ -76,7 +76,7 @@ class TestReasonClasses:
         """The same content under the same context misses again only when
         the memo's LRU bound evicted its clean entry."""
         attr = MemoAttribution()
-        img = CrashImage(FenceBase(bytes(64)), ((0, b"x"),))
+        img = CrashImage(PersistTracker(bytes(64)).base(), ((0, b"x"),))
         _classify(attr, img, syscall=1)
         assert _classify(attr, img, syscall=1) == "new_content"
 
@@ -84,7 +84,7 @@ class TestReasonClasses:
         """A state skipped on an earlier workload's verdict counts no
         reason, but its base and context are seen from then on."""
         attr = MemoAttribution()
-        base = FenceBase(bytes(64))
+        base = PersistTracker(bytes(64)).base()
         img = CrashImage(base, ((0, b"x"),))
         attr.note_cross_workload_hit(FakeState(img, syscall=1))
         assert attr.total == 0
@@ -127,7 +127,7 @@ class TestSumInvariant:
 class TestCollisionTable:
     def test_colliding_content_keys_surface(self):
         attr = MemoAttribution()
-        base = FenceBase(bytes(64))
+        base = PersistTracker(bytes(64)).base()
         _classify(attr, CrashImage(base, ((0, b"ab"),)), syscall=1)
         _classify(attr, CrashImage(base, ((0, b"a"), (1, b"b"))), syscall=1)
         _classify(attr, CrashImage(base, ((9, b"q"),)), syscall=1)
@@ -139,7 +139,7 @@ class TestCollisionTable:
 
     def test_no_collisions_without_shape_variety(self):
         attr = MemoAttribution()
-        base = FenceBase(bytes(64))
+        base = PersistTracker(bytes(64)).base()
         _classify(attr, CrashImage(base, ((0, b"a"),)), syscall=1)
         _classify(attr, CrashImage(base, ((0, b"b"),)), syscall=1)
         assert attr.top_collisions() == []
